@@ -24,29 +24,17 @@ sealed trait FunctionKind {
   /** Number of stored 64-bit parameters (2, or 3 for anchored kinds). */
   def nParams: Int
 
-  /** Primitive-protocol constraint: writes (t, alpha, omega) into `out(0..2)`
-    * and returns [[FunctionKind.Constrained]] / [[FunctionKind.VacuousPoint]] /
-    * [[FunctionKind.OutOfDomainPoint]]. This is the allocation-free hot path
-    * used by ConvexFit (the ADT variant below exists for tests/diagnostics).
+  /** Linearised constraint for data point `(x, y)` with bound `eps`: writes
+    * `(t, alpha, omega)` into `out(0..2)` and returns
+    * [[FunctionKind.Constrained]]. `(x0, y0)` is the fragment's first point
+    * (used only by anchored kinds). Returns [[FunctionKind.OutOfDomainPoint]]
+    * for a point unconstrainable in this kind's domain (e.g. `y - eps <= 0`
+    * for log-space kinds; the caller must end the fragment there) and
+    * [[FunctionKind.VacuousPoint]] for an always-satisfied point (the anchor
+    * itself). Allocation-free: this is ConvexFit's hot path.
     */
   def constraintInto(x: Double, y: Double, eps: Double, x0: Double, y0: Double,
                      out: Array[Double]): Int
-
-  /** Linearised constraint `(t, alpha, omega)` for data point `(x, y)` with
-    * bound `eps`; `(x0, y0)` is the fragment's first point (used only by
-    * anchored kinds). OutOfDomain marks a point unconstrainable in this
-    * kind's domain (e.g. `y - eps <= 0` for log-space kinds) — the caller
-    * must end the fragment there; Vacuous marks an always-satisfied point
-    * (the anchor itself).
-    */
-  final def constraint(x: Double, y: Double, eps: Double, x0: Double, y0: Double): ConstraintResult = {
-    val out = new Array[Double](3)
-    constraintInto(x, y, eps, x0, y0, out) match {
-      case FunctionKind.Constrained => Constrain(out(0), out(1), out(2))
-      case FunctionKind.VacuousPoint => Vacuous
-      case _ => OutOfDomain
-    }
-  }
 
   /** Third stored parameter derived from the anchor; 0 for 2-param kinds. */
   def param3(m: Double, b: Double, x0: Double, y0: Double): Double = 0.0
@@ -54,14 +42,6 @@ sealed trait FunctionKind {
   /** Evaluate the fitted function at global timestamp x. */
   def eval(x: Double, m: Double, b: Double, p3: Double): Double
 }
-
-/** Result of linearising one data point: a constraint, a vacuous (always
-  * satisfied) point, or an out-of-domain point that breaks the fragment.
-  */
-sealed trait ConstraintResult
-final case class Constrain(t: Double, alpha: Double, omega: Double) extends ConstraintResult
-case object Vacuous extends ConstraintResult
-case object OutOfDomain extends ConstraintResult
 
 /** f(x) = m*x + b. */
 case object LinearKind extends FunctionKind {

@@ -97,6 +97,7 @@ object NeaTS {
   private[neats] def repair(ys: Array[Long], shift: Long,
                             pieces: Vector[Piece], lossy: Boolean): Vector[Piece] = {
     val out = scala.collection.mutable.ArrayBuffer[Piece]()
+    val region = new FeasibleRegion
     pieces.foreach { piece =>
       var cur = piece
       var doneWithPiece = false
@@ -111,14 +112,14 @@ object NeaTS {
         if (violation < 0) { out += cur; doneWithPiece = true }
         else if (violation > cur.start) {
           out += cur.copy(end = violation)
-          cur = refit(ys, shift, violation, cur.end, cur.kind, cur.eps, lossy)
+          cur = refit(ys, shift, violation, cur.end, cur.kind, cur.eps, lossy, region)
         } else {
           // violation at the very first point: exact constant (linear) piece
           out += Piece(cur.start, cur.start + 1, LinearKind,
                        0.0, (ys(cur.start) + shift).toDouble, 0.0,
                        cur.eps, if (lossy) 0 else Partitioner.corrBits(cur.eps))
           if (cur.start + 1 < cur.end)
-            cur = refit(ys, shift, cur.start + 1, cur.end, cur.kind, cur.eps, lossy)
+            cur = refit(ys, shift, cur.start + 1, cur.end, cur.kind, cur.eps, lossy, region)
           else doneWithPiece = true
         }
       }
@@ -127,8 +128,9 @@ object NeaTS {
   }
 
   private def refit(ys: Array[Long], shift: Long, start: Int, end: Int,
-                    kind: FunctionKind, eps: Long, lossy: Boolean): Piece = {
-    val fit = ConvexFit.longestFragment(ys, shift, start, kind, eps)
+                    kind: FunctionKind, eps: Long, lossy: Boolean,
+                    region: FeasibleRegion): Piece = {
+    val fit = ConvexFit.longestFragment(ys, shift, start, kind, eps, region)
     val e = math.max(start + 1, math.min(fit.end, end))
     Piece(start, e, kind, fit.m, fit.b, fit.p3, eps,
           if (lossy) 0 else Partitioner.corrBits(eps))

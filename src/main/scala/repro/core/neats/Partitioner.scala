@@ -20,7 +20,8 @@ final case class Piece(start: Int, end: Int, kind: FunctionKind,
   * live approximation J_{f,eps} spanning (i, j) contributes, at the visit of
   * node k in between, the prefix edge (i, k) and the suffix edge (k, j);
   * edge weight = exact encoded size (corrections + parameters + metadata).
-  * Runs in O(|F| |E| n) amortised.
+  * Runs in O(|F| |E| n) amortised; the fitting, nearly all of that work,
+  * runs in parallel (see [[Chains]]).
   */
 object Partitioner {
 
@@ -48,18 +49,23 @@ object Partitioner {
                      kinds: Seq[FunctionKind], eps: Long): Vector[Piece] =
     run(ys, shift, kinds, Seq(eps), lossy = true)
 
+  /** DAG nodes per block of the parallel chain fill (see [[Chains]]). */
+  private[neats] final val BlockNodes = 1024
+
   private def run(ys: Array[Long], shift: Long, kinds: Seq[FunctionKind],
                   epsilons: Seq[Long], lossy: Boolean): Vector[Piece] = {
     val n = ys.length
     if (n == 0) return Vector.empty
     require(kinds.nonEmpty && epsilons.nonEmpty, "need at least one kind and eps")
-    val pairs = (for { f <- kinds; e <- epsilons.distinct.sorted } yield (f, e)).toArray
-    val nP = pairs.length
+    val eps = epsilons.distinct.sorted
+    val pairKind = kinds.flatMap(f => eps.map(_ => f)).toArray
+    val pairEps = kinds.flatMap(_ => eps).toArray
+    val nP = pairKind.length
     val live = new Array[Fit](nP)
-    val bitsPerPoint = pairs.map { case (_, e) => if (lossy) 0L else corrBits(e).toLong }
-    val kap = pairs.map { case (f, _) => kappa(f) }
+    val bitsPerPoint = pairEps.map(e => if (lossy) 0L else corrBits(e).toLong)
+    val kap = pairKind.map(kappa)
 
-    val scratch = new repro.core.approx.FeasibleRegion
+    val chains = new Chains(ys, shift, pairKind, pairEps)
     val distance = Array.fill(n + 1)(Inf)
     distance(0) = 0L
     val prevNode = Array.fill(n + 1)(-1)
@@ -68,18 +74,18 @@ object Partitioner {
 
     var k = 0
     while (k < n) {
+      if (k % BlockNodes == 0) chains.fill(math.min(n, k + BlockNodes))
       // Refresh dead approximations and relax prefix edges (i, k).
       var p = 0
       while (p < nP) {
-        if (live(p) == null || live(p).end <= k)
-          live(p) = ConvexFit.longestFragment(ys, shift, k, pairs(p)._1, pairs(p)._2, scratch)
+        if (live(p) == null || live(p).end <= k) live(p) = chains.next(p)
         val f = live(p)
         val i = f.start
         if (f.end > k && i < k && distance(i) < Inf) {
           val w = (k - i).toLong * bitsPerPoint(p) + kap(p)
           if (distance(k) > distance(i) + w) {
             distance(k) = distance(i) + w
-            prevNode(k) = i; prevFit(k) = f; prevEps(k) = pairs(p)._2
+            prevNode(k) = i; prevFit(k) = f; prevEps(k) = pairEps(p)
           }
         }
         p += 1
@@ -94,7 +100,7 @@ object Partitioner {
             val w = (j - k).toLong * bitsPerPoint(p) + kap(p)
             if (distance(j) > distance(k) + w) {
               distance(j) = distance(k) + w
-              prevNode(j) = k; prevFit(j) = f; prevEps(j) = pairs(p)._2
+              prevNode(j) = k; prevFit(j) = f; prevEps(j) = pairEps(p)
             }
           }
           p += 1
@@ -116,5 +122,52 @@ object Partitioner {
       node = i
     }
     out.reverse.toVector
+  }
+}
+
+/** The greedy chain of fits of every (kind, eps) pair, as Algorithm 1
+  * consumes them: a pair's fit starting at node k is the longest fragment
+  * from k, and its successor starts at max(end, k + 1), the first node at
+  * which the relaxation finds it dead. A chain thus depends only on the data
+  * and its pair, so the chains are extended in parallel, a block of nodes
+  * at a time, one fork-join task per pair (on the common pool when called
+  * from outside a fork-join pool), each with its own region; each task makes
+  * the same `longestFragment` calls, with the same arguments, that the
+  * sequential relaxation would, so the partition does not depend on the
+  * scheduling. Fits queued or live at once: at most pairs x (block + 1).
+  */
+private final class Chains(ys: Array[Long], shift: Long,
+                           kinds: Array[FunctionKind], eps: Array[Long]) {
+  private val queue = Array.fill(kinds.length)(new Array[Fit](math.min(ys.length, Partitioner.BlockNodes)))
+  private val taken = new Array[Int](kinds.length)
+  private val nextStart = new Array[Int](kinds.length)
+  private val regions = Array.fill(kinds.length)(new FeasibleRegion)
+
+  private final class Extend(p: Int, until: Int) extends java.util.concurrent.RecursiveAction {
+    def compute(): Unit = {
+      var start = nextStart(p)
+      var q = 0
+      while (start < until) {
+        val fit = ConvexFit.longestFragment(ys, shift, start, kinds(p), eps(p), regions(p))
+        queue(p)(q) = fit
+        q += 1
+        start = math.max(fit.end, start + 1)
+      }
+      nextStart(p) = start
+    }
+  }
+
+  /** Queues every pair's fits that start before node `until`; the previous
+    * block's fits must all have been taken.
+    */
+  def fill(until: Int): Unit = {
+    java.util.Arrays.fill(taken, 0)
+    java.util.concurrent.ForkJoinTask.invokeAll(kinds.indices.map(new Extend(_, until)): _*)
+  }
+
+  /** Pair p's next fit: the one starting at the node being relaxed. */
+  def next(p: Int): Fit = {
+    taken(p) += 1
+    queue(p)(taken(p) - 1)
   }
 }

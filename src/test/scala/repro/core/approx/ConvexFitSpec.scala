@@ -38,12 +38,14 @@ object SlowFeasibility {
     var poly: Seq[Pt] = Seq((-big, -big), (big, -big), (big, big), (-big, big))
     val x0 = (start + 1).toDouble
     val y0 = (ys(start) + shift).toDouble
+    val out = new Array[Double](3)
     var k = start
     while (k < ys.length) {
-      kind.constraint((k + 1).toDouble, (ys(k) + shift).toDouble, eps.toDouble, x0, y0) match {
-        case Vacuous => k += 1
-        case OutOfDomain => return k
-        case Constrain(t, a, w) =>
+      kind.constraintInto((k + 1).toDouble, (ys(k) + shift).toDouble, eps.toDouble, x0, y0, out) match {
+        case FunctionKind.VacuousPoint => k += 1
+        case FunctionKind.OutOfDomainPoint => return k
+        case _ =>
+          val (t, a, w) = (out(0), out(1), out(2))
           // alpha <= t*m + b <= omega  ->  -t*m - b <= -alpha  and  t*m + b <= omega
           val p1 = clip(clip(poly, -t, -1.0, -a), t, 1.0, w)
           if (p1.isEmpty) return k
