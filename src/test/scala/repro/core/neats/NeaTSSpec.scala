@@ -237,7 +237,7 @@ class NeaTSSpec extends SparkSpec {
     val shift = NeaTS.shiftFor(ys, 8)
     assert(ys.min + shift === 8 + 1)
     val ys2 = Array[Long](100, 200)
-    assert(NeaTS.shiftFor(ys2, 8) === 0L)
+    assert(ys2.min + NeaTS.shiftFor(ys2, 8) === 8 + 1)
   }
 
   test("repair splits pieces with out-of-bound corrections") {
