@@ -10,6 +10,8 @@ trait CompressedSeq {
   def decompressAll(): Array[Long]
   /** Random access to the i-th payload. */
   def get(i: Int): Long
+  /** Payloads [from, from + len); one `get` each unless the codec scans faster. */
+  def range(from: Int, len: Int): Array[Long] = Array.tabulate(len)(j => get(from + j))
 }
 
 /** A whole-block codec: compresses/decompresses an `Array[Long]` chunk.
@@ -56,7 +58,7 @@ final class BlockStore(val codec: BlockCodec, values: Array[Long], blockSize: In
   }
 
   /** Sequential range scan: decompress only the touched blocks. */
-  def range(from: Int, len: Int): Array[Long] = {
+  override def range(from: Int, len: Int): Array[Long] = {
     val out = new Array[Long](len)
     var written = 0
     var i = from

@@ -11,9 +11,9 @@ import repro.core.neats.{NeaTS, NeaTSCompressed}
 import repro.data.{Dataset, TimeSeries}
 
 /** Shared measurement harness for the Table II / Table III reproductions.
-  * All speeds are JVM wall-clock (lossless compression and decompression
-  * best of 3; NeaTS compression fits on the common fork-join pool, the rest
-  * is single-threaded); the paper's absolute C++ numbers differ by a
+  * All speeds are JVM wall-clock, best of 3 (the first run warms the JIT;
+  * NeaTS compression fits on the common fork-join pool, the rest is
+  * single-threaded); the paper's absolute C++ numbers differ by a
   * platform factor, the comparison targets are the relative positions (see
   * EXPERIMENTS.md).
   */
@@ -27,7 +27,7 @@ object Harness {
     def sizeInBits: Long = c.sizeInBits
     def decompressAll(): Array[Long] = c.decompressAll()
     def get(i: Int): Long = c(i)
-    def range(from: Int, len: Int): Array[Long] = c.range(from, len)
+    override def range(from: Int, len: Int): Array[Long] = c.range(from, len)
   }
 
   /** One lossless competitor: how to build its compressed form from a dataset.
@@ -69,20 +69,14 @@ object Harness {
                                ratioPct: Double, compressMBs: Double,
                                decompressMBs: Double, randomAccessMBs: Double)
 
-  private def timeNs[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, System.nanoTime() - t0)
-  }
-
-  /** Best-of-k wall clock in nanoseconds. */
+  /** Best-of-k wall clock in nanoseconds; the first run warms the JIT. */
   private def bestOf[A](k: Int)(body: => A): (A, Long) = {
     var best = Long.MaxValue
     var last: A = null.asInstanceOf[A]
     (0 until k).foreach { _ =>
-      val (a, t) = timeNs(body)
-      last = a
-      if (t < best) best = t
+      val t0 = System.nanoTime()
+      last = body
+      best = math.min(best, System.nanoTime() - t0)
     }
     (last, best)
   }
@@ -95,7 +89,7 @@ object Harness {
     val rng = new java.util.Random(97)
     val queries = Array.fill(raQueries)(rng.nextInt(ds.n))
     var sink = 0L
-    val (_, raNs) = timeNs {
+    val (_, raNs) = bestOf(3) {
       var i = 0
       while (i < queries.length) { sink ^= compressed.get(queries(i)); i += 1 }
     }
@@ -147,9 +141,9 @@ object Harness {
     val origBits = ds.n.toLong * 64
     val shift = NeaTS.shiftFor(ds.longs, eps)
 
-    val (plaFits, plaNs) = timeNs(PLA.partition(ds.longs, eps))
-    val (aaFrags, aaNs) = timeNs(AdaptiveApprox.partition(ds.longs, shift, eps))
-    val (neatsPieces, neatsNs) = timeNs(NeaTS.lossyPieces(ds.longs, eps))
+    val (plaFits, plaNs) = bestOf(3)(PLA.partition(ds.longs, eps))
+    val (aaFrags, aaNs) = bestOf(3)(AdaptiveApprox.partition(ds.longs, shift, eps))
+    val (neatsPieces, neatsNs) = bestOf(3)(NeaTS.lossyPieces(ds.longs, eps))
 
     val plaBits = PLA.sizeBits(plaFits)
     val aaBits = AdaptiveApprox.sizeBits(aaFrags)
@@ -213,12 +207,7 @@ object Harness {
     contenders.foreach { case (_, c) =>
       var w = 0
       while (w < 300) {
-        val s = rng.nextInt(math.max(1, ds.n - 64))
-        c match {
-          case ns2: NeaTSSeq => ns2.range(s, 64)
-          case bs: BlockStore => bs.range(s, 64)
-          case other => var j = 0; while (j < 64) { other.get(s + j); j += 1 }
-        }
+        c.range(rng.nextInt(math.max(1, ds.n - 64)), 64)
         w += 1
       }
     }
@@ -228,16 +217,7 @@ object Harness {
     } yield {
       val starts = Array.fill(queries)(rng.nextInt(math.max(1, ds.n - size)))
       var sink = 0L
-      val (_, ns) = timeNs {
-        starts.foreach { s =>
-          val got = c match {
-            case ns2: NeaTSSeq => ns2.range(s, size)
-            case bs: BlockStore => bs.range(s, size)
-            case other => Array.tabulate(size)(j => other.get(s + j))
-          }
-          sink ^= got(size - 1)
-        }
-      }
+      val (_, ns) = bestOf(3)(starts.foreach(s => sink ^= c.range(s, size)(size - 1)))
       if (sink == 42L) println("")
       RangeRow(name, size, queries.toDouble / (ns / 1e9))
     }

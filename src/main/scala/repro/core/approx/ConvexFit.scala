@@ -42,8 +42,6 @@ final class FeasibleRegion {
   private var mL = Double.NegativeInfinity
   private var mR = Double.PositiveInfinity
 
-  def isEmptySoFar: Boolean = topN == 0
-
   /** Reset for reuse on the next fragment (arrays are kept — fitting runs
     * millions of short fragments and must not allocate per fragment).
     */
@@ -193,9 +191,6 @@ final class FeasibleRegion {
     true
   }
 
-  /** Diagnostic snapshot of the interval and envelope sizes (tests only). */
-  def debugState: String = f"mL=$mL%.6f mR=$mR%.6f top=$topN bot=$botN"
-
   /** Pick an interior feasible (m, b); callers must have added >= 1 point. */
   def solve(): (Double, Double) = {
     if (topN == 0) return (0.0, 0.0)
@@ -222,14 +217,13 @@ object ConvexFit {
   /** Longest fragment starting at `start` that admits an eps-approximation of
     * `kind` over the (already shifted, strictly positive where needed) values
     * `ys`. Optimal O(end - start) amortised, modulo the binary searches.
-    * Pass a `scratch` region to reuse its buffers across fragments (cleared
-    * here); omitting it allocates a fresh one.
+    * `region` is cleared here, so one region's buffers serve every fragment.
     */
   def longestFragment(ys: Array[Long], shift: Long, start: Int, kind: FunctionKind, eps: Long,
-                      scratch: FeasibleRegion = null): Fit = {
+                      region: FeasibleRegion): Fit = {
     val n = ys.length
     require(start >= 0 && start < n, s"start $start out of [0, $n)")
-    val region = if (scratch != null) { scratch.clear(); scratch } else new FeasibleRegion
+    region.clear()
     val x0 = (start + 1).toDouble
     val y0 = (ys(start) + shift).toDouble
     val e = eps.toDouble

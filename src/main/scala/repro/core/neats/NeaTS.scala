@@ -38,11 +38,9 @@ object NeaTS {
     epsMax + 1 - ys.min
   }
 
-  /** Lossless compression with the given kinds and eps grid. */
-  def compress(ys: Array[Long],
-               kinds: Seq[FunctionKind] = defaultKinds,
-               epsilons: Option[Seq[Long]] = None): NeaTSCompressed = {
-    val eps = epsilons.getOrElse(epsGrid(ys)).distinct.sorted
+  /** Lossless compression with the given kinds over the eps grid. */
+  def compress(ys: Array[Long], kinds: Seq[FunctionKind] = defaultKinds): NeaTSCompressed = {
+    val eps = epsGrid(ys).distinct.sorted
     val shift = shiftFor(ys, eps.max)
     val pieces = Partitioner.lossless(ys, shift, kinds, eps)
     NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = false))
@@ -52,21 +50,21 @@ object NeaTS {
   def compressLinearOnly(ys: Array[Long]): NeaTSCompressed =
     compress(ys, kinds = Seq(LinearKind))
 
-  /** SNeaTS: run Algorithm 1 on the first `sampleFrac` of the series, keep the
-    * top-`keep` most-used (kind, eps) pairs (always retaining a linear pair as
-    * a safety net), then compress the full series with just those.
+  /** SNeaTS: run Algorithm 1 on the first 10% of the series, keep the top-5
+    * most-used (kind, eps) pairs (always retaining a linear pair as a safety
+    * net), then compress the full series with just those.
     */
-  def compressSelected(ys: Array[Long], sampleFrac: Double = 0.10, keep: Int = 5): NeaTSCompressed = {
+  def compressSelected(ys: Array[Long]): NeaTSCompressed = {
     val eps = epsGrid(ys).distinct.sorted
     val shift = shiftFor(ys, eps.max)
-    val sampleLen = math.max(64, math.min(ys.length, (ys.length * sampleFrac).toInt))
+    val sampleLen = math.max(64, math.min(ys.length, (ys.length * 0.10).toInt))
     val sample = ys.take(sampleLen)
     val samplePieces = Partitioner.lossless(sample, shift, defaultKinds, eps)
     val counts = samplePieces
       .groupBy(p => (p.kind, p.eps))
       .map { case (pair, ps) => pair -> ps.map(_.length).sum }
       .toSeq.sortBy(-_._2)
-    var selected = counts.take(keep).map(_._1)
+    var selected = counts.take(5).map(_._1)
     if (!selected.exists(_._1 == LinearKind))
       selected = selected :+ (LinearKind, eps.max)
     val kinds = selected.map(_._1).distinct
@@ -79,18 +77,13 @@ object NeaTS {
     * the same layout with zero-width corrections (decompression returns the
     * approximation, max error <= eps).
     */
-  def compressLossy(ys: Array[Long], eps: Long,
-                    kinds: Seq[FunctionKind] = defaultKinds): NeaTSCompressed = {
-    val shift = shiftFor(ys, eps)
-    val pieces = Partitioner.lossyPartition(ys, shift, kinds, eps)
-    NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = true))
-  }
+  def compressLossy(ys: Array[Long], eps: Long): NeaTSCompressed =
+    NeaTSCompressed.build(ys, shiftFor(ys, eps), lossyPieces(ys, eps))
 
   /** Lossy partition only (for Table II size accounting and MAPE). */
-  def lossyPieces(ys: Array[Long], eps: Long,
-                  kinds: Seq[FunctionKind] = defaultKinds): Vector[Piece] = {
+  def lossyPieces(ys: Array[Long], eps: Long): Vector[Piece] = {
     val shift = shiftFor(ys, eps)
-    repair(ys, shift, Partitioner.lossyPartition(ys, shift, kinds, eps), lossy = true)
+    repair(ys, shift, Partitioner.lossyPartition(ys, shift, defaultKinds, eps), lossy = true)
   }
 
   /** Floating-point safety net: the convex fitting runs on doubles, so a

@@ -102,20 +102,7 @@ final class NeaTSCompressed(
   }
 
   /** Algorithm 2: decompress the whole series. */
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    val m = numFragments
-    var frag = 0
-    while (frag < m) {
-      val start = s(frag).toInt
-      val end = if (frag + 1 < m) s(frag + 1).toInt else n
-      val (kind, m0, b0, p3) = kindParamsOf(frag)
-      val width = b(frag).toInt
-      decodeRun(kind, m0, b0, p3, start, end, width, o(frag), out, start)
-      frag += 1
-    }
-    out
-  }
+  def decompressAll(): Array[Long] = range(0, n)
 
   /** Range scan [from, from+len): one rank, then sequential decoding. */
   def range(from: Int, len: Int): Array[Long] = {

@@ -1,13 +1,13 @@
 package repro.sparkts
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.core.neats.{NeaTS, NeaTSCompressed}
 
 /** NeaTS as a per-partition (row-group) columnar encoder on Spark, analogous
   * to a Parquet page encoding: rows (idx, value) are grouped into fixed-size
-  * row groups, each compressed into one NeaTS blob; decoding and range
-  * queries touch only the groups that overlap the requested index range and
-  * use NeaTS random access (Algorithm 3) inside each group.
+  * row groups, each compressed into one NeaTS blob; decoding, range and
+  * point queries decode only the groups that overlap the requested index
+  * range, each through [[RowGroup.read]].
   *
   * Indexes must be dense (0..n-1) — the paper's setting where timestamps are
   * mapped to consecutive integers (§III-C, footnote 5).
@@ -35,45 +35,35 @@ object NeaTSCodec {
   }
 
   /** Full decode back to (idx, value). */
-  def decode(encoded: DataFrame): DataFrame = {
+  def decode(encoded: DataFrame): DataFrame = rows(encoded, Long.MinValue, Long.MaxValue)
+
+  /** Range query [from, until): decodes only the overlapping slice of each
+    * overlapping group. An empty range maps to the empty [0, -1], so that
+    * `until - 1` cannot wrap.
+    */
+  def rangeQuery(encoded: DataFrame, from: Long, until: Long): DataFrame =
+    if (until > from) rows(encoded, from, until - 1) else rows(encoded, 0L, -1L)
+
+  /** Point lookup: a one-row range inside the covering group, i.e. one rank
+    * and one decoded value (Algorithm 3).
+    */
+  def pointQuery(encoded: DataFrame, idx: Long): Option[Long] = {
+    val spark = encoded.sparkSession
+    import spark.implicits._
+    rows(encoded, idx, idx).select($"value".as[Long]).collect().headOption
+  }
+
+  /** The rows (idx, value) with idx in the inclusive range [lo, hi]; blobs
+    * of groups outside it are not decoded.
+    */
+  private def rows(encoded: DataFrame, lo: Long, hi: Long): DataFrame = {
     val spark = encoded.sparkSession
     import spark.implicits._
     encoded.select($"group_start".as[Long], $"count".as[Int], $"blob".as[Array[Byte]])
       .flatMap { case (start, count, blob) =>
-        val values = NeaTSCompressed.fromBytes(blob).decompressAll()
-        Iterator.tabulate(count)(i => (start + i, values(i)))
+        val (first, values) = RowGroup(start, count).read(NeaTSCompressed.fromBytes(blob), lo, hi)
+        Iterator.tabulate(values.length)(i => (first + i, values(i)))
       }
       .toDF("idx", "value")
-  }
-
-  /** Range query [from, until): decodes only overlapping groups, and within
-    * each group only the overlapping slice (one rank + sequential scan).
-    */
-  def rangeQuery(encoded: DataFrame, from: Long, until: Long): DataFrame = {
-    val spark = encoded.sparkSession
-    import spark.implicits._
-    encoded
-      .where($"group_start" + $"count" > from && $"group_start" < until)
-      .select($"group_start".as[Long], $"count".as[Int], $"blob".as[Array[Byte]])
-      .flatMap { case (start, count, blob) =>
-        val lo = math.max(from, start)
-        val hi = math.min(until, start + count)
-        val c = NeaTSCompressed.fromBytes(blob)
-        val slice = c.range((lo - start).toInt, (hi - lo).toInt)
-        Iterator.tabulate(slice.length)(i => (lo + i, slice(i)))
-      }
-      .toDF("idx", "value")
-  }
-
-  /** Point lookup via Algorithm 3 inside the single covering group. */
-  def pointQuery(encoded: DataFrame, idx: Long, groupSize: Int): Option[Long] = {
-    val spark = encoded.sparkSession
-    import spark.implicits._
-    val g = idx / groupSize * groupSize
-    encoded.where($"group_start" === g)
-      .select($"group_start".as[Long], $"blob".as[Array[Byte]])
-      .collect()
-      .headOption
-      .map { case (start, blob) => NeaTSCompressed.fromBytes(blob)((idx - start).toInt) }
   }
 }

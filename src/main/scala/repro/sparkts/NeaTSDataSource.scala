@@ -88,8 +88,10 @@ class NeaTSTable(path: String) extends Table with SupportsRead {
 /** Pushes idx range predicates (>=, >, <=, <, =) down to row-group pruning. */
 class NeaTSScanBuilder(path: String) extends ScanBuilder with SupportsPushDownFilters {
   private var lo: Long = Long.MinValue
-  private var hi: Long = Long.MaxValue // inclusive
+  private var hi: Long = Long.MaxValue // inclusive; the scan is empty when lo > hi
   private var pushed: Array[sources.Filter] = Array.empty
+
+  private def matchNothing(): Unit = { lo = Long.MaxValue; hi = Long.MinValue }
 
   override def pushFilters(filters: Array[sources.Filter]): Array[sources.Filter] = {
     val (accepted, rejected) = filters.partition {
@@ -101,9 +103,11 @@ class NeaTSScanBuilder(path: String) extends ScanBuilder with SupportsPushDownFi
       case _ => false
     }
     accepted.foreach {
-      case sources.GreaterThan("idx", v: Long) => lo = math.max(lo, v + 1)
+      case sources.GreaterThan("idx", v: Long) =>
+        if (v == Long.MaxValue) matchNothing() else lo = math.max(lo, v + 1)
       case sources.GreaterThanOrEqual("idx", v: Long) => lo = math.max(lo, v)
-      case sources.LessThan("idx", v: Long) => hi = math.min(hi, v - 1)
+      case sources.LessThan("idx", v: Long) =>
+        if (v == Long.MinValue) matchNothing() else hi = math.min(hi, v - 1)
       case sources.LessThanOrEqual("idx", v: Long) => hi = math.min(hi, v)
       case sources.EqualTo("idx", v: Long) => lo = math.max(lo, v); hi = math.min(hi, v)
       case _ =>
@@ -124,16 +128,16 @@ class NeaTSScan(path: String, lo: Long, hi: Long) extends Scan with Batch {
   override def planInputPartitions(): Array[InputPartition] = {
     val (_, groups) = NeaTSFiles.readMeta(path)
     groups
-      .filter(g => g.start <= hi && g.start + g.count - 1 >= lo)
-      .map(g => NeaTSInputPartition(path, g.start, g.count, g.file, lo, hi): InputPartition)
+      .filter(g => RowGroup(g.start, g.count).overlaps(lo, hi))
+      .map(g => NeaTSInputPartition(path, g, lo, hi): InputPartition)
       .toArray
   }
 
   override def createReaderFactory(): PartitionReaderFactory = new NeaTSReaderFactory
 }
 
-final case class NeaTSInputPartition(path: String, start: Long, count: Int,
-                                     file: String, lo: Long, hi: Long) extends InputPartition
+final case class NeaTSInputPartition(path: String, group: NeaTSFiles.Group,
+                                     lo: Long, hi: Long) extends InputPartition
 
 class NeaTSReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
@@ -142,21 +146,15 @@ class NeaTSReaderFactory extends PartitionReaderFactory {
   }
 }
 
-/** Decodes one row group, restricted to the pushed [lo, hi] index range:
-  * one NeaTS random access for the first point, then a sequential scan.
+/** Decodes one row group, restricted to the pushed [lo, hi] index range,
+  * through [[RowGroup.read]].
   */
 class NeaTSPartitionReader(p: NeaTSInputPartition) extends PartitionReader[InternalRow] {
-  private val from = math.max(p.lo, p.start)
-  private val until = math.min(p.hi, p.start + p.count - 1) + 1
-  private val values: Array[Long] =
-    if (until <= from) Array.empty
-    else {
-      val c = NeaTSFiles.readGroup(p.path, NeaTSFiles.Group(p.start, p.count, p.file))
-      c.range((from - p.start).toInt, (until - from).toInt)
-    }
+  private val (first, values) =
+    RowGroup(p.group.start, p.group.count).read(NeaTSFiles.readGroup(p.path, p.group), p.lo, p.hi)
   private var i = -1
 
   override def next(): Boolean = { i += 1; i < values.length }
-  override def get(): InternalRow = InternalRow(from + i, values(i))
+  override def get(): InternalRow = InternalRow(first + i, values(i))
   override def close(): Unit = ()
 }

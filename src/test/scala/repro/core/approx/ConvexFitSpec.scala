@@ -61,7 +61,7 @@ class ConvexFitSpec extends SparkSpec {
 
   private def checkValid(ys: Array[Long], shift: Long, kind: FunctionKind, eps: Long,
                          start: Int = 0): Fit = {
-    val fit = ConvexFit.longestFragment(ys, shift, start, kind, eps)
+    val fit = ConvexFit.longestFragment(ys, shift, start, kind, eps, new FeasibleRegion)
     assert(fit.end > start, s"empty fragment for $kind eps=$eps")
     (fit.start until fit.end).foreach { i =>
       val err = math.abs(fit.eval(i) - (ys(i) + shift).toDouble)
@@ -106,7 +106,7 @@ class ConvexFitSpec extends SparkSpec {
     for (trial <- 0 until 30) {
       val ys = Array.fill(80)(rng.nextInt(100).toLong)
       val eps = 1L + rng.nextInt(5)
-      val fit = ConvexFit.longestFragment(ys, 0, 0, LinearKind, eps)
+      val fit = ConvexFit.longestFragment(ys, 0, 0, LinearKind, eps, new FeasibleRegion)
       if (fit.end < ys.length) {
         val slow = SlowFeasibility.longestFragment(ys, 0, 0, LinearKind, eps)
         assert(fit.end === slow, s"trial $trial eps=$eps: fast=${fit.end} slow=$slow")
@@ -121,7 +121,7 @@ class ConvexFitSpec extends SparkSpec {
       val ys = Array.fill(120) { v += rng.nextInt(21) - 10; v }
       val eps = Seq(1L, 2L, 8L)(trial % 3)
       val shift = math.max(0L, eps + 1 - ys.min)
-      val fast = ConvexFit.longestFragment(ys, shift, 0, kind, eps)
+      val fast = ConvexFit.longestFragment(ys, shift, 0, kind, eps, new FeasibleRegion)
       val slow = SlowFeasibility.longestFragment(ys, shift, 0, kind, eps)
       // Allow off-by-one on numerically marginal boundaries; the encoder's
       // verification step handles those. Lengths must otherwise agree.
@@ -134,14 +134,14 @@ class ConvexFitSpec extends SparkSpec {
     val rng = new Random(14)
     val ys = Array.fill(50)(rng.nextInt(1000000).toLong)
     for (kind <- FunctionKind.all; start <- Seq(0, 10, 49)) {
-      val fit = ConvexFit.longestFragment(ys, 10, start, kind, 0)
+      val fit = ConvexFit.longestFragment(ys, 10, start, kind, 0, new FeasibleRegion)
       assert(fit.end >= start + 1, s"$kind at $start")
     }
   }
 
   test("eps=0 exact fits validate exactly") {
     val ys = Array.tabulate(200)(i => 5L * (i + 1) + 3)
-    val fit = ConvexFit.longestFragment(ys, 0, 0, LinearKind, 0)
+    val fit = ConvexFit.longestFragment(ys, 0, 0, LinearKind, 0, new FeasibleRegion)
     (fit.start until fit.end).foreach { i =>
       assert(math.floor(fit.eval(i) + 1e-9).toLong === ys(i))
     }
@@ -151,7 +151,7 @@ class ConvexFitSpec extends SparkSpec {
   test("out-of-domain exponential point ends the fragment gracefully") {
     // y - eps <= 0 at index 3 without shift
     val ys = Array[Long](10, 9, 8, 1, 10, 12)
-    val fit = ConvexFit.longestFragment(ys, 0, 0, ExponentialKind, 2)
+    val fit = ConvexFit.longestFragment(ys, 0, 0, ExponentialKind, 2, new FeasibleRegion)
     assert(fit.end <= 3 + 1)
     assert(fit.end > 0)
   }

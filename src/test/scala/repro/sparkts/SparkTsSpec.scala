@@ -1,6 +1,7 @@
 package repro.sparkts
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.sources
 import repro.{Oracle, SparkSpec}
 import repro.data.TimeSeries
 
@@ -33,7 +34,8 @@ class NeaTSCodecSpec extends SparkSpec {
     val df = tsDF("ECG", 12000)
     val enc = NeaTSCodec.encode(df, groupSize = 2048).cache()
     val full = NeaTSCodec.decode(enc).orderBy("idx").collect().map(_.getLong(1))
-    for ((from, until) <- Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L))) {
+    for ((from, until) <- Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L),
+                              (3000L, 3000L), (2048L, 2049L), (4095L, 4096L))) {
       val got = NeaTSCodec.rangeQuery(enc, from, until).orderBy("idx").collect()
       assert(got.length === (until - from).toInt)
       got.foreach { r =>
@@ -50,7 +52,22 @@ class NeaTSCodecSpec extends SparkSpec {
     val rng = new java.util.Random(50)
     (0 until 20).foreach { _ =>
       val i = rng.nextInt(8000)
-      assert(NeaTSCodec.pointQuery(enc, i.toLong, 1024) === Some(full(i)))
+      assert(NeaTSCodec.pointQuery(enc, i.toLong) === Some(full(i)))
+    }
+    enc.unpersist()
+  }
+
+  test("rangeQuery and the DataSource return identical rows") {
+    val ds = TimeSeries.dataset("LAT", 5000)
+    val dir = java.nio.file.Files.createTempDirectory("neats-LAT").toString
+    NeaTSFiles.write(dir, ds.longs, 1024)
+    val table = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
+    val enc = NeaTSCodec.encode(tsDF("LAT", 5000), groupSize = 1024).cache()
+    for ((from, until) <- Seq((0L, 5000L), (1023L, 1025L), (2048L, 2048L), (3000L, 4100L), (4999L, 5000L))) {
+      val viaCodec = NeaTSCodec.rangeQuery(enc, from, until).orderBy("idx").collect().toSeq
+      val viaTable = table.where($"idx" >= from && $"idx" < until).orderBy("idx").collect().toSeq
+      assert(viaCodec.length === (until - from).toInt, s"[$from, $until)")
+      assert(viaCodec === viaTable, s"[$from, $until)")
     }
     enc.unpersist()
   }
@@ -107,6 +124,14 @@ class NeaTSDataSourceSpec extends SparkSpec {
         assert(r.getLong(1) === values((lo + j).toInt))
       }
     }
+    // `v + 1` and `v - 1` at the ends of Long must not wrap into "every row".
+    for (none <- Seq(sources.GreaterThan("idx", Long.MaxValue), sources.LessThan("idx", Long.MinValue))) {
+      val builder = new NeaTSScanBuilder(dir)
+      builder.pushFilters(Array(none))
+      assert(builder.build().toBatch.planInputPartitions().isEmpty, s"$none")
+    }
+    assert(df.where($"idx" > Long.MaxValue).count() === 0)
+    assert(df.where($"idx" < Long.MinValue).count() === 0)
   }
 
   test("pushdown prunes row groups (scan plan reads fewer partitions)") {
