@@ -1,5 +1,8 @@
 package repro.baselines.lossy
 
+import repro.core.approx.LinearKind
+import repro.core.neats.Partitioner
+
 /** The Adaptive Approximation baseline [Xu et al., EDBT'12; Qi et al., WWW'15]
   * as characterised in the NeaTS paper (§IV-B, §V-c): a heuristic partitioner
   * over linear, exponential, and quadratic functions whose fragments all pass
@@ -80,6 +83,8 @@ object AdaptiveApprox {
     AAFragment(start, k, kind, theta, y0)
   }
 
-  /** Same per-fragment accounting as PLA: anchor value + theta (2x64) + start. */
-  def sizeBits(frags: Seq[AAFragment]): Long = frags.length.toLong * (2 * 64 + 32)
+  /** Table II's lossy size: a fragment stores two parameters (anchor value
+    * and theta), as a linear one does, so [[Partitioner.lossyBits]] of it.
+    */
+  def sizeBits(frags: Seq[AAFragment]): Long = frags.length.toLong * Partitioner.lossyBits(LinearKind)
 }

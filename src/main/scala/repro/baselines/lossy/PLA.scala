@@ -1,6 +1,7 @@
 package repro.baselines.lossy
 
-import repro.core.approx.{ConvexFit, Fit, LinearKind, PiecewiseApprox}
+import repro.core.approx.{Fit, LinearKind, PiecewiseApprox}
+import repro.core.neats.Partitioner
 
 /** The optimal Piecewise Linear Approximation baseline [O'Rourke, CACM'81]:
   * greedy longest-fragment linear fitting, which minimises the number of
@@ -10,8 +11,6 @@ object PLA {
   def partition(ys: Array[Long], eps: Long): Vector[Fit] =
     PiecewiseApprox.partition(ys, shift = 0L, LinearKind, eps)
 
-  /** Lossy size accounting used uniformly across Table II methods:
-    * 2 params x 64 bits + 32-bit start per segment.
-    */
-  def sizeBits(fits: Seq[Fit]): Long = fits.length.toLong * (2 * 64 + 32)
+  /** Table II's lossy size: [[Partitioner.lossyBits]] per segment. */
+  def sizeBits(fits: Seq[Fit]): Long = fits.length.toLong * Partitioner.lossyBits(LinearKind)
 }

@@ -7,7 +7,7 @@ import repro.baselines.gp._
 import repro.baselines.leco.LeCo
 import repro.baselines.lossy.{AdaptiveApprox, PLA}
 import repro.baselines.xor._
-import repro.core.neats.{NeaTS, NeaTSCompressed}
+import repro.core.neats.{NeaTS, NeaTSCompressed, Partitioner}
 import repro.data.{Dataset, TimeSeries}
 
 /** Shared measurement harness for the Table II / Table III reproductions.
@@ -132,7 +132,7 @@ object Harness {
     val grid = NeaTS.epsGrid(ds.longs).filter(_ > 0)
     grid.find { eps =>
       val pieces = NeaTS.lossyPieces(ds.longs, eps)
-      pieces.map(p => 64L * p.kind.nParams + 32L).sum < losslessBits
+      pieces.map(p => Partitioner.lossyBits(p.kind)).sum < losslessBits
     }.getOrElse(grid.last)
   }
 
@@ -147,7 +147,7 @@ object Harness {
 
     val plaBits = PLA.sizeBits(plaFits)
     val aaBits = AdaptiveApprox.sizeBits(aaFrags)
-    val neatsBits = neatsPieces.map(p => 64L * p.kind.nParams + 32L).sum
+    val neatsBits = neatsPieces.map(p => Partitioner.lossyBits(p.kind)).sum
 
     def mape(approx: Int => Double): Double = {
       var acc = 0.0

@@ -7,38 +7,21 @@ package repro.core.approx
   * dual (m, b) plane. Because `t_k` is strictly increasing, every new line
   * has the steepest negative slope seen so far, so:
   *
-  *  - the feasible region's bottom boundary (upper envelope of alpha-lines)
-  *    only grows at its left end, and the new alpha-line can only cut the
-  *    feasible m-interval from the left;
   *  - the top boundary (lower envelope of omega-lines) only grows at its
-  *    right end, and the new omega-line cuts the interval from the right.
+  *    right end, and the new alpha-line can only cut the feasible
+  *    m-interval from the left, where it crosses the top boundary;
+  *  - the bottom boundary (upper envelope of alpha-lines) only grows at its
+  *    left end, and the new omega-line cuts the interval from the right.
   *
-  * We therefore maintain the two line envelopes (amortised O(1) insertion,
-  * convex-hull-trick style) plus the feasible slope interval [mL, mR]
-  * (shrinks monotonically; root-finding against the opposite envelope is a
-  * binary search). The fragment ends when mL > mR.
-  *
-  * Implementation note: everything is primitive `Array[Double]` stacks — the
-  * fitting loop is the compressor's hot path and must not allocate per point
-  * (boxed envelopes triggered JIT deopt storms and an ~80x slowdown).
+  * Mirrored through (m, b) -> (-m, -b), the bottom boundary is the lower
+  * envelope of the lines (-t_k, -alpha_k), which grows at its right end too:
+  * bottom(m) = -bot.at(-m), so one [[Envelope]] serves both. Negation is
+  * exact in IEEE arithmetic, so the mirror loses nothing. The fragment ends
+  * when the feasible slope interval [mL, mR] (shrinks monotonically) empties.
   */
 final class FeasibleRegion {
-  // Top boundary: lower envelope (min) of omega-lines. Stored left-to-right;
-  // slopes strictly decrease with insertion so each new line is appended at
-  // the right end. topLb(i) = left boundary of entry i's interval (-inf at 0).
-  private var topS = new Array[Double](16)
-  private var topC = new Array[Double](16)
-  private var topLb = new Array[Double](16)
-  private var topN = 0
-
-  // Bottom boundary: upper envelope (max) of alpha-lines. Stored REVERSED
-  // (index 0 = rightmost segment) so that the new leftmost line is appended
-  // at the end. botRb(i) = right boundary of entry i's interval (+inf at 0).
-  private var botS = new Array[Double](16)
-  private var botC = new Array[Double](16)
-  private var botRb = new Array[Double](16)
-  private var botN = 0
-
+  private val top = new Envelope(rootMidBias = 0) // lines (-t, omega)
+  private val bot = new Envelope(rootMidBias = 1) // lines (-t, -alpha), read mirrored
   private var mL = Double.NegativeInfinity
   private var mR = Double.PositiveInfinity
 
@@ -46,122 +29,10 @@ final class FeasibleRegion {
     * millions of short fragments and must not allocate per fragment).
     */
   def clear(): Unit = {
-    topN = 0
-    botN = 0
+    top.clear()
+    bot.clear()
     mL = Double.NegativeInfinity
     mR = Double.PositiveInfinity
-  }
-
-  private def growTop(): Unit = {
-    topS = java.util.Arrays.copyOf(topS, topS.length * 2)
-    topC = java.util.Arrays.copyOf(topC, topC.length * 2)
-    topLb = java.util.Arrays.copyOf(topLb, topLb.length * 2)
-  }
-
-  private def growBot(): Unit = {
-    botS = java.util.Arrays.copyOf(botS, botS.length * 2)
-    botC = java.util.Arrays.copyOf(botC, botC.length * 2)
-    botRb = java.util.Arrays.copyOf(botRb, botRb.length * 2)
-  }
-
-  private def intersect(s1: Double, c1: Double, s2: Double, c2: Double): Double =
-    (c2 - c1) / (s1 - s2)
-
-  private def pushTop(s: Double, c: Double): Unit = {
-    while (topN > 0) {
-      val i = topN - 1
-      if (s == topS(i)) {
-        if (c >= topC(i)) return // weaker duplicate-slope line: ignore
-        topN -= 1 // replace
-      } else {
-        val x = intersect(s, c, topS(i), topC(i))
-        if (x <= topLb(i)) topN -= 1 // dominated
-        else {
-          if (topN == topS.length) growTop()
-          topS(topN) = s; topC(topN) = c; topLb(topN) = x; topN += 1
-          return
-        }
-      }
-    }
-    if (topN == topS.length) growTop()
-    topS(0) = s; topC(0) = c; topLb(0) = Double.NegativeInfinity; topN = 1
-  }
-
-  private def pushBottom(s: Double, c: Double): Unit = {
-    while (botN > 0) {
-      val i = botN - 1
-      if (s == botS(i)) {
-        if (c <= botC(i)) return
-        botN -= 1
-      } else {
-        val x = intersect(s, c, botS(i), botC(i))
-        if (x >= botRb(i)) botN -= 1 // dominated
-        else {
-          if (botN == botS.length) growBot()
-          botS(botN) = s; botC(botN) = c; botRb(botN) = x; botN += 1
-          return
-        }
-      }
-    }
-    if (botN == botS.length) growBot()
-    botS(0) = s; botC(0) = c; botRb(0) = Double.PositiveInfinity; botN = 1
-  }
-
-  /** Evaluate the top boundary at slope m. */
-  def topAt(m: Double): Double = {
-    var lo = 0; var hi = topN - 1
-    while (lo < hi) { // largest i with topLb(i) <= m
-      val mid = (lo + hi + 1) >>> 1
-      if (topLb(mid) <= m) lo = mid else hi = mid - 1
-    }
-    topS(lo) * m + topC(lo)
-  }
-
-  /** Evaluate the bottom boundary at slope m. */
-  def bottomAt(m: Double): Double = {
-    var lo = 0; var hi = botN - 1
-    while (lo < hi) { // entries reversed: largest i with botRb(i) >= m
-      val mid = (lo + hi + 1) >>> 1
-      if (botRb(mid) >= m) lo = mid else hi = mid - 1
-    }
-    botS(lo) * m + botC(lo)
-  }
-
-  /** Root of top(m) = sa*m + ca, where sa is strictly below every top slope
-    * (so g(m) = top - line is increasing and crosses zero exactly once).
-    */
-  private def rootTopVsLine(sa: Double, ca: Double): Double = {
-    // find the smallest boundary with g >= 0; the root is in the segment
-    // before it (g is increasing in m).
-    var lo = 1; var hi = topN // `hi` means "no boundary with g >= 0"
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      val m = topLb(mid)
-      val g = (topS(mid) * m + topC(mid)) - (sa * m + ca)
-      if (g >= 0) hi = mid else lo = mid + 1
-    }
-    val seg = if (lo - 1 > 0) lo - 1 else 0
-    val denom = topS(seg) - sa
-    if (denom == 0) Double.NegativeInfinity else (ca - topC(seg)) / denom
-  }
-
-  /** Root of sw*m + cw = bottom(m), sw strictly below every bottom slope
-    * (h(m) = line - bottom is decreasing and crosses zero exactly once).
-    * Strict `< 0` below: a boundary with h == 0 IS the root; selecting past
-    * it can land on a parallel segment and lose the cut (degenerate eps=0).
-    */
-  private def rootLineVsBottom(sw: Double, cw: Double): Double = {
-    var lo = 0; var hi = botN - 1
-    while (lo < hi) { // largest j with h(botRb(j)) < 0 (j=0: rb=+inf, h=-inf)
-      val mid = (lo + hi + 1) >>> 1
-      val rb = botRb(mid)
-      val hv =
-        if (java.lang.Double.isInfinite(rb)) { if (rb > 0) Double.NegativeInfinity else Double.PositiveInfinity }
-        else (sw * rb + cw) - (botS(mid) * rb + botC(mid))
-      if (hv < 0) lo = mid else hi = mid - 1
-    }
-    val denom = sw - botS(lo)
-    if (denom == 0) Double.PositiveInfinity else (botC(lo) - cw) / denom
   }
 
   /** Add the constraint pair for one data point: `alpha <= t*m + b <= omega`
@@ -170,22 +41,20 @@ final class FeasibleRegion {
     */
   def addPoint(t: Double, alpha: Double, omega: Double): Boolean = {
     val s = -t
-    if (topN == 0) { pushTop(s, omega); pushBottom(s, alpha); return true }
+    if (top.size == 0) { top.push(s, omega); bot.push(s, -alpha); return true }
     // The right cut can be computed against the OLD bottom envelope: the new
     // bottom is max(old, L_alpha) and L_omega >= L_alpha everywhere
     // (parallel, alpha <= omega), so L_alpha never determines the crossing.
     // Computing both cuts before mutating keeps the state clean on rejection.
-    val mLcand = rootTopVsLine(s, alpha)
-    val newML = math.max(mL, mLcand)
-    val mRcand = rootLineVsBottom(s, omega)
-    val newMR = math.min(mR, mRcand)
+    val newML = math.max(mL, top.root(s, alpha))
+    val newMR = math.min(mR, -bot.root(s, -omega))
     // Tolerance: the region may legitimately degenerate to a single point
     // (constraints touching), which floating point can flip to "just empty".
     // Marginal acceptances are caught later by the encoder's verify+repair.
     val tol = 1e-9 * (1.0 + math.max(math.abs(newML), math.abs(newMR)))
     if (newML > newMR + tol) return false
-    pushBottom(s, alpha)
-    pushTop(s, omega)
+    bot.push(s, -alpha)
+    top.push(s, omega)
     mL = newML
     mR = newMR
     true
@@ -193,14 +62,95 @@ final class FeasibleRegion {
 
   /** Pick an interior feasible (m, b); callers must have added >= 1 point. */
   def solve(): (Double, Double) = {
-    if (topN == 0) return (0.0, 0.0)
+    if (top.size == 0) return (0.0, 0.0)
     val m =
       if (mL.isNegInfinity && mR.isPosInfinity) 0.0
       else if (mL.isNegInfinity) mR - 1.0
       else if (mR.isPosInfinity) mL + 1.0
       else (mL + mR) / 2.0
-    val b = (bottomAt(m) + topAt(m)) / 2.0
-    (m, b)
+    (m, (-bot.at(-m) + top.at(m)) / 2.0)
+  }
+}
+
+/** Lower envelope (pointwise min) of lines `s*m + c`, each pushed with a
+  * slope below every earlier one, so it only grows at its right end
+  * (amortised O(1) insertion, convex-hull-trick style). Stored left to
+  * right; `lb(i)` is the left end of line i's interval (-inf at 0).
+  *
+  * Everything is primitive `Array[Double]` stacks — the fitting loop is the
+  * compressor's hot path and must not allocate per point (boxed envelopes
+  * triggered JIT deopt storms and an ~80x slowdown).
+  *
+  * `root`'s bisection probes boundary (lo + hi - rootMidBias) / 2. Where a
+  * line passes within rounding of a vertex, the sign test can be
+  * non-monotone along the boundaries, and the probe order then decides
+  * between two neighbouring segments whose roots differ by an ulp (1 of
+  * 6.9M greedy-chain fits over the 16 analogues). With rootMidBias = 1 the
+  * mirrored bottom envelope probes exactly the boundaries that a reversed
+  * upper envelope would, so every fit is bit-identical to the two-envelope
+  * region this class replaced.
+  */
+private final class Envelope(rootMidBias: Int) {
+  private var s = new Array[Double](16)
+  private var c = new Array[Double](16)
+  private var lb = new Array[Double](16)
+  var size = 0
+
+  def clear(): Unit = size = 0
+
+  def push(sl: Double, cl: Double): Unit = {
+    while (size > 0) {
+      val i = size - 1
+      if (sl == s(i)) {
+        if (cl >= c(i)) return // weaker duplicate-slope line: ignore
+        size -= 1 // replace
+      } else {
+        val x = (c(i) - cl) / (sl - s(i)) // where the new line crosses line i
+        if (x <= lb(i)) size -= 1 // dominated
+        else { append(sl, cl, x); return }
+      }
+    }
+    append(sl, cl, Double.NegativeInfinity)
+  }
+
+  private def append(sl: Double, cl: Double, x: Double): Unit = {
+    if (size == s.length) grow()
+    s(size) = sl; c(size) = cl; lb(size) = x; size += 1
+  }
+
+  // Out of line: inlined, the copying made `push` too big for the JIT to
+  // inline into `addPoint`.
+  private def grow(): Unit = {
+    s = java.util.Arrays.copyOf(s, size * 2)
+    c = java.util.Arrays.copyOf(c, size * 2)
+    lb = java.util.Arrays.copyOf(lb, size * 2)
+  }
+
+  /** The envelope's value at m. */
+  def at(m: Double): Double = {
+    var lo = 0; var hi = size - 1
+    while (lo < hi) { // largest i with lb(i) <= m
+      val mid = (lo + hi + 1) >>> 1
+      if (lb(mid) <= m) lo = mid else hi = mid - 1
+    }
+    s(lo) * m + c(lo)
+  }
+
+  /** Root of at(m) = sa*m + ca, where sa is strictly below every slope (so
+    * g(m) = at(m) - line is increasing and crosses zero exactly once).
+    * A boundary with g == 0 is the root itself and the segment left of it
+    * is used: selecting past it can land on a parallel segment and lose the
+    * cut (degenerate eps=0).
+    */
+  def root(sa: Double, ca: Double): Double = {
+    var lo = 1; var hi = size // `hi` means "no boundary with g >= 0"
+    while (lo < hi) { // smallest boundary with g >= 0
+      val mid = (lo + hi - rootMidBias) >>> 1
+      val m = lb(mid)
+      if ((s(mid) * m + c(mid)) - (sa * m + ca) >= 0) hi = mid else lo = mid + 1
+    }
+    val denom = s(lo - 1) - sa
+    if (denom == 0) Double.NegativeInfinity else (ca - c(lo - 1)) / denom
   }
 }
 

@@ -60,8 +60,6 @@ final class BitVector(val words: Array[Long], val length: Long) {
     acc
   }
 
-  def rank0(i: Long): Long = i - rank1(i)
-
   /** Position of the (j+1)-th set bit (0-based j); require j < countOnes. */
   def select1(j: Long): Long = {
     require(j >= 0 && j < countOnes, s"select1($j) with only $countOnes ones")

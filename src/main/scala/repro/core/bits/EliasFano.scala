@@ -49,9 +49,6 @@ final class EliasFano private (
     result
   }
 
-  /** Largest element <= v; require rank(v) > 0. */
-  def predecessor(v: Long): Long = apply(rank(v) - 1)
-
   def sizeInBits: Long = 3L * 64 + lows.sizeInBits + highs.sizeInBits
 
   def toArray: Array[Long] = Array.tabulate(length)(apply)

@@ -29,10 +29,4 @@ object FixedWidthArray {
     while (i < values.length) { w.append(values(i), width); i += 1 }
     new FixedWidthArray(values.length, width, new BitReader(w.words, w.lengthInBits))
   }
-
-  /** Build with the minimal width for the max value in `values`. */
-  def auto(values: Array[Long]): FixedWidthArray = {
-    val mx = if (values.isEmpty) 0L else values.max
-    apply(values, bitsFor(mx))
-  }
 }

@@ -50,27 +50,29 @@ object NeaTS {
   def compressLinearOnly(ys: Array[Long]): NeaTSCompressed =
     compress(ys, kinds = Seq(LinearKind))
 
-  /** SNeaTS: run Algorithm 1 on the first 10% of the series, keep the top-5
-    * most-used (kind, eps) pairs (always retaining a linear pair as a safety
-    * net), then compress the full series with just those.
-    */
+  /** SNeaTS: compress with just the [[selectedPairs]]. */
   def compressSelected(ys: Array[Long]): NeaTSCompressed = {
+    val shift = shiftFor(ys, epsGrid(ys).max)
+    val pairs = selectedPairs(ys)
+    val pieces = Partitioner.run(ys, shift, pairs.map(_._1).toArray, pairs.map(_._2).toArray, lossy = false)
+    NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = false))
+  }
+
+  /** SNeaTS's model selection: run Algorithm 1 on the first 10% of the
+    * series and keep the top-5 most-used (kind, eps) pairs, adding a linear
+    * pair as a safety net if none is linear.
+    */
+  private[neats] def selectedPairs(ys: Array[Long]): Seq[(FunctionKind, Long)] = {
     val eps = epsGrid(ys).distinct.sorted
     val shift = shiftFor(ys, eps.max)
     val sampleLen = math.max(64, math.min(ys.length, (ys.length * 0.10).toInt))
-    val sample = ys.take(sampleLen)
-    val samplePieces = Partitioner.lossless(sample, shift, defaultKinds, eps)
+    val samplePieces = Partitioner.lossless(ys.take(sampleLen), shift, defaultKinds, eps)
     val counts = samplePieces
       .groupBy(p => (p.kind, p.eps))
       .map { case (pair, ps) => pair -> ps.map(_.length).sum }
       .toSeq.sortBy(-_._2)
-    var selected = counts.take(5).map(_._1)
-    if (!selected.exists(_._1 == LinearKind))
-      selected = selected :+ (LinearKind, eps.max)
-    val kinds = selected.map(_._1).distinct
-    val epsSel = selected.map(_._2).distinct
-    val pieces = Partitioner.lossless(ys, shift, kinds, epsSel)
-    NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = false))
+    val selected = counts.take(5).map(_._1)
+    if (selected.exists(_._1 == LinearKind)) selected else selected :+ (LinearKind, eps.max)
   }
 
   /** NeaTS-L: lossy compression under a single error bound eps; the output is

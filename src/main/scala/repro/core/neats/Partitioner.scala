@@ -37,33 +37,41 @@ object Partitioner {
     */
   def kappa(kind: FunctionKind): Long = 64L * kind.nParams + 48L
 
+  /** Lossy size of one fragment, as Table II reports it: its parameters and
+    * a 32-bit start. The lossy partition's edge weight, so that its reported
+    * size is the least over the DAG's paths.
+    */
+  def lossyBits(kind: FunctionKind): Long = 64L * kind.nParams + 32L
+
   private val Inf = Long.MaxValue / 4
 
-  /** Lossless partitioning (weights include the correction storage). */
+  /** Lossless partitioning over every (kind, eps) in kinds x epsilons
+    * (weights include the correction storage).
+    */
   def lossless(ys: Array[Long], shift: Long,
-               kinds: Seq[FunctionKind], epsilons: Seq[Long]): Vector[Piece] =
-    run(ys, shift, kinds, epsilons, lossy = false)
+               kinds: Seq[FunctionKind], epsilons: Seq[Long]): Vector[Piece] = {
+    val eps = epsilons.distinct.sorted
+    run(ys, shift, kinds.flatMap(f => eps.map(_ => f)).toArray, kinds.flatMap(_ => eps).toArray, lossy = false)
+  }
 
-  /** Lossy partitioning (single eps; weights are parameter storage only). */
+  /** Lossy partitioning (single eps; weights are [[lossyBits]]). */
   def lossyPartition(ys: Array[Long], shift: Long,
                      kinds: Seq[FunctionKind], eps: Long): Vector[Piece] =
-    run(ys, shift, kinds, Seq(eps), lossy = true)
+    run(ys, shift, kinds.toArray, kinds.map(_ => eps).toArray, lossy = true)
 
   /** DAG nodes per block of the parallel chain fill (see [[Chains]]). */
   private[neats] final val BlockNodes = 1024
 
-  private def run(ys: Array[Long], shift: Long, kinds: Seq[FunctionKind],
-                  epsilons: Seq[Long], lossy: Boolean): Vector[Piece] = {
+  /** Algorithm 1 over the (pairKind(p), pairEps(p)) pairs. */
+  private[neats] def run(ys: Array[Long], shift: Long, pairKind: Array[FunctionKind],
+                         pairEps: Array[Long], lossy: Boolean): Vector[Piece] = {
     val n = ys.length
     if (n == 0) return Vector.empty
-    require(kinds.nonEmpty && epsilons.nonEmpty, "need at least one kind and eps")
-    val eps = epsilons.distinct.sorted
-    val pairKind = kinds.flatMap(f => eps.map(_ => f)).toArray
-    val pairEps = kinds.flatMap(_ => eps).toArray
+    require(pairKind.nonEmpty, "need at least one (kind, eps) pair")
     val nP = pairKind.length
     val live = new Array[Fit](nP)
     val bitsPerPoint = pairEps.map(e => if (lossy) 0L else corrBits(e).toLong)
-    val kap = pairKind.map(kappa)
+    val kap = pairKind.map(f => if (lossy) lossyBits(f) else kappa(f))
 
     val chains = new Chains(ys, shift, pairKind, pairEps)
     val distance = Array.fill(n + 1)(Inf)

@@ -14,8 +14,6 @@ final case class Dataset(name: String, digits: Int, values: Array[Double]) {
     values.map(v => math.round(v * scale))
   }
   def n: Int = values.length
-  /** Original size in bits: 64 per value (double or 64-bit integer). */
-  def originalBits: Long = n.toLong * 64
   def valueRange: Long = longs.max - longs.min
 }
 

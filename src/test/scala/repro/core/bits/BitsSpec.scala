@@ -74,16 +74,12 @@ class BitsSpec extends SparkSpec {
     }
   }
 
-  test("FixedWidthArray.auto picks minimal sufficient width") {
+  test("FixedWidthArray.bitsFor picks minimal sufficient width") {
     assert(FixedWidthArray.bitsFor(0) === 1)
     assert(FixedWidthArray.bitsFor(1) === 1)
     assert(FixedWidthArray.bitsFor(2) === 2)
     assert(FixedWidthArray.bitsFor(255) === 8)
     assert(FixedWidthArray.bitsFor(256) === 9)
-    val vs = Array(0L, 5L, 255L)
-    val fwa = FixedWidthArray.auto(vs)
-    assert(fwa.width === 8)
-    assert(fwa.toArray.toSeq === vs.toSeq)
   }
 
   test("FixedWidthArray rejects out-of-range access") {
@@ -101,7 +97,6 @@ class BitVectorSpec extends SparkSpec {
     assert(bv.length === bits.length)
     val prefOnes = bits.scanLeft(0L)((acc, b) => acc + (if (b) 1 else 0))
     (0 to bits.length).foreach(i => assert(bv.rank1(i.toLong) === prefOnes(i), s"rank1($i)"))
-    (0 to bits.length).foreach(i => assert(bv.rank0(i.toLong) === i - prefOnes(i), s"rank0($i)"))
     val onePos = bits.zipWithIndex.filter(_._1).map(_._2)
     onePos.zipWithIndex.foreach { case (p, j) => assert(bv.select1(j.toLong) === p.toLong, s"select1($j)") }
     val zeroPos = bits.zipWithIndex.filterNot(_._1).map(_._2)
@@ -179,11 +174,8 @@ class EliasFanoSpec extends SparkSpec {
     check(vs)
   }
 
-  test("predecessor works") {
+  test("rank below the first element is 0") {
     val ef = EliasFano(Array(2L, 5L, 9L))
-    assert(ef.predecessor(9) === 9L)
-    assert(ef.predecessor(8) === 5L)
-    assert(ef.predecessor(2) === 2L)
     assert(ef.rank(1) === 0)
   }
 }

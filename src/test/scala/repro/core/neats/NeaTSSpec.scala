@@ -53,10 +53,10 @@ class PartitionerSpec extends SparkSpec {
     val pieces = Partitioner.lossyPartition(ys, shift, FunctionKind.all, eps)
     checkPartition(ys, shift, pieces)
     assert(pieces.forall(_.corrBits === 0))
-    // lossy optimum (by kappa) must not exceed greedy linear fragment storage
-    val optCost = pieces.map(p => Partitioner.kappa(p.kind)).sum
+    // lossy optimum (by lossyBits) must not exceed greedy linear fragment storage
+    val optCost = pieces.map(p => Partitioner.lossyBits(p.kind)).sum
     val greedy = PiecewiseApprox.partition(ys, shift, LinearKind, eps)
-    assert(optCost <= greedy.length * Partitioner.kappa(LinearKind))
+    assert(optCost <= greedy.length * Partitioner.lossyBits(LinearKind))
   }
 
   test("corrBits matches ceil(log2(2eps+1))") {
@@ -163,10 +163,21 @@ class NeaTSSpec extends SparkSpec {
     assert(c.decompressAll().toSeq === data.longs.toSeq)
   }
 
+  test("SNeaTS fits only the (kind, eps) pairs it selects") {
+    val failures = TimeSeries.benchmarks().flatMap { ds =>
+      val selected = NeaTS.selectedPairs(ds.longs).map { case (kind, eps) => (kind.id, Partitioner.corrBits(eps).toLong) }
+      assert(selected.length <= 6)
+      val c = NeaTS.compressSelected(ds.longs)
+      val unselected = (0 until c.numFragments).map(f => (c.k(f), c.b(f))).distinct.filterNot(selected.contains)
+      if (unselected.isEmpty) None else Some(s"${ds.name}: (kind id, width) $unselected used, $selected selected")
+    }
+    assert(failures.isEmpty, failures.mkString("; "))
+  }
+
   test("compression actually compresses trend-heavy data") {
     val data = TimeSeries.dataset("US", 4000)
     val c = NeaTS.compress(data.longs)
-    assert(c.sizeInBits < data.originalBits, s"${c.sizeInBits} vs ${data.originalBits}")
+    assert(c.sizeInBits < data.n * 64L, s"${c.sizeInBits} vs ${data.n * 64L}")
   }
 
   test("lossy: max error bounded by eps and smaller than lossless") {

@@ -117,7 +117,7 @@ object PartitionerParallelSpec {
     val nP = pairs.length
     val live = new Array[Fit](nP)
     val bitsPerPoint = pairs.map { case (_, e) => if (lossy) 0L else Partitioner.corrBits(e).toLong }
-    val kap = pairs.map { case (f, _) => Partitioner.kappa(f) }
+    val kap = pairs.map { case (f, _) => if (lossy) Partitioner.lossyBits(f) else Partitioner.kappa(f) }
     val scratch = new FeasibleRegion
     val distance = Array.fill(n + 1)(Inf)
     distance(0) = 0L
