@@ -18,10 +18,15 @@ package repro.core.approx
   * bottom(m) = -bot.at(-m), so one [[Envelope]] serves both. Negation is
   * exact in IEEE arithmetic, so the mirror loses nothing. The fragment ends
   * when the feasible slope interval [mL, mR] (shrinks monotonically) empties.
+  *
+  * Since mL only grows, top's lines that end left of it never bound the
+  * region again, and likewise bot's left of -mR: each accepted point prunes
+  * them, so the cuts walk from the first live line: amortised O(1) per
+  * point, as in O'Rourke's algorithm.
   */
 final class FeasibleRegion {
-  private val top = new Envelope(rootMidBias = 0) // lines (-t, omega)
-  private val bot = new Envelope(rootMidBias = 1) // lines (-t, -alpha), read mirrored
+  private val top = new Envelope // lines (-t, omega)
+  private val bot = new Envelope // lines (-t, -alpha), read mirrored
   private var mL = Double.NegativeInfinity
   private var mR = Double.PositiveInfinity
 
@@ -57,6 +62,8 @@ final class FeasibleRegion {
     top.push(s, omega)
     mL = newML
     mR = newMR
+    top.prune(mL)
+    bot.prune(-mR)
     true
   }
 
@@ -77,26 +84,22 @@ final class FeasibleRegion {
   * (amortised O(1) insertion, convex-hull-trick style). Stored left to
   * right; `lb(i)` is the left end of line i's interval (-inf at 0).
   *
+  * `head` is the first line not pruned: every line before it ends at or
+  * before the last pruning point. Pruned lines stay in the arrays, so `push`
+  * and `at` see the whole envelope.
+  *
   * Everything is primitive `Array[Double]` stacks — the fitting loop is the
   * compressor's hot path and must not allocate per point (boxed envelopes
   * triggered JIT deopt storms and an ~80x slowdown).
-  *
-  * `root`'s bisection probes boundary (lo + hi - rootMidBias) / 2. Where a
-  * line passes within rounding of a vertex, the sign test can be
-  * non-monotone along the boundaries, and the probe order then decides
-  * between two neighbouring segments whose roots differ by an ulp (1 of
-  * 6.9M greedy-chain fits over the 16 analogues). With rootMidBias = 1 the
-  * mirrored bottom envelope probes exactly the boundaries that a reversed
-  * upper envelope would, so every fit is bit-identical to the two-envelope
-  * region this class replaced.
   */
-private final class Envelope(rootMidBias: Int) {
+private final class Envelope {
   private var s = new Array[Double](16)
   private var c = new Array[Double](16)
   private var lb = new Array[Double](16)
   var size = 0
+  private var head = 0
 
-  def clear(): Unit = size = 0
+  def clear(): Unit = { size = 0; head = 0 }
 
   def push(sl: Double, cl: Double): Unit = {
     while (size > 0) {
@@ -126,7 +129,19 @@ private final class Envelope(rootMidBias: Int) {
     lb = java.util.Arrays.copyOf(lb, size * 2)
   }
 
-  /** The envelope's value at m. */
+  /** Moves `head` past every line whose interval ends at or before x. A
+    * push may have replaced the head line itself; the line that replaced
+    * it is then the last one.
+    */
+  def prune(x: Double): Unit = {
+    if (head >= size) head = size - 1
+    while (head + 1 < size && lb(head + 1) <= x) head += 1
+  }
+
+  /** The envelope's value at m. A full search, not one from `head`: the
+    * cuts' tolerance lets the solved m sit a rounding error outside
+    * [mL, mR], left of the pruning point.
+    */
   def at(m: Double): Double = {
     var lo = 0; var hi = size - 1
     while (lo < hi) { // largest i with lb(i) <= m
@@ -137,20 +152,20 @@ private final class Envelope(rootMidBias: Int) {
   }
 
   /** Root of at(m) = sa*m + ca, where sa is strictly below every slope (so
-    * g(m) = at(m) - line is increasing and crosses zero exactly once).
+    * g(m) = at(m) - line is increasing and crosses zero exactly once),
+    * walking from the first boundary after `head`. A root left of it lies
+    * left of the pruning point, which the caller's max/min with the old cut
+    * then discards. Every boundary walked past lies left of the new cut, so
+    * the next prune drops it: each line is passed at most once.
     * A boundary with g == 0 is the root itself and the segment left of it
     * is used: selecting past it can land on a parallel segment and lose the
     * cut (degenerate eps=0).
     */
   def root(sa: Double, ca: Double): Double = {
-    var lo = 1; var hi = size // `hi` means "no boundary with g >= 0"
-    while (lo < hi) { // smallest boundary with g >= 0
-      val mid = (lo + hi - rootMidBias) >>> 1
-      val m = lb(mid)
-      if ((s(mid) * m + c(mid)) - (sa * m + ca) >= 0) hi = mid else lo = mid + 1
-    }
-    val denom = s(lo - 1) - sa
-    if (denom == 0) Double.NegativeInfinity else (ca - c(lo - 1)) / denom
+    var i = head + 1 // the first boundary with g >= 0 (a NaN g is not), or `size` if none
+    while (i < size && !((s(i) * lb(i) + c(i)) - (sa * lb(i) + ca) >= 0)) i += 1
+    val denom = s(i - 1) - sa
+    if (denom == 0) Double.NegativeInfinity else (ca - c(i - 1)) / denom
   }
 }
 
@@ -166,7 +181,8 @@ object ConvexFit {
 
   /** Longest fragment starting at `start` that admits an eps-approximation of
     * `kind` over the (already shifted, strictly positive where needed) values
-    * `ys`. Optimal O(end - start) amortised, modulo the binary searches.
+    * `ys`. Optimal O(end - start) amortised, modulo the binary searches of
+    * `solve`.
     * `region` is cleared here, so one region's buffers serve every fragment.
     */
   def longestFragment(ys: Array[Long], shift: Long, start: Int, kind: FunctionKind, eps: Long,

@@ -112,6 +112,9 @@ object FunctionKind {
   /** The four kinds used in the paper's experiments (§IV-A). */
   val all: Vector[FunctionKind] = Vector(LinearKind, RadicalKind, ExponentialKind, QuadraticKind)
 
-  def byId(id: Int): FunctionKind = all.find(_.id == id).getOrElse(
-    throw new IllegalArgumentException(s"unknown function kind id $id"))
+  private val ById: Array[FunctionKind] = all.sortBy(_.id).toArray // ids are 0 until all.length
+
+  def byId(id: Int): FunctionKind =
+    if (id >= 0 && id < ById.length) ById(id)
+    else throw new IllegalArgumentException(s"unknown function kind id $id")
 }

@@ -51,7 +51,7 @@ final class BitReader(val words: Array[Long], val lengthInBits: Long) {
 
   /** Read `width` bits starting at bit offset `pos` (unsigned). */
   def get(pos: Long, width: Int): Long = {
-    require(width >= 0 && width <= 64, s"bad width $width")
+    if (width < 0 || width > 64) Check.fail(s"bad width $width")
     if (width == 0) return 0L
     val wordIdx = (pos >>> 6).toInt
     val bitIdx = (pos & 63).toInt

@@ -43,13 +43,13 @@ final class BitVector(val words: Array[Long], val length: Long) {
   }
 
   def apply(i: Long): Boolean = {
-    require(i >= 0 && i < length, s"bit $i out of [0, $length)")
+    if (i < 0 || i >= length) Check.fail(s"bit $i out of [0, $length)")
     ((words((i >>> 6).toInt) >>> (i & 63).toInt) & 1L) != 0
   }
 
   /** Number of 1s in positions [0, i). */
   def rank1(i: Long): Long = {
-    require(i >= 0 && i <= length, s"rank pos $i out of [0, $length]")
+    if (i < 0 || i > length) Check.fail(s"rank pos $i out of [0, $length]")
     if (i == 0) return 0L
     val word = (i >>> 6).toInt
     var acc = blockRank(word / 8)
@@ -62,7 +62,7 @@ final class BitVector(val words: Array[Long], val length: Long) {
 
   /** Position of the (j+1)-th set bit (0-based j); require j < countOnes. */
   def select1(j: Long): Long = {
-    require(j >= 0 && j < countOnes, s"select1($j) with only $countOnes ones")
+    if (j < 0 || j >= countOnes) Check.fail(s"select1($j) with only $countOnes ones")
     // binary search superblocks on blockRank
     var lo = 0
     var hi = blockRank.length - 1
@@ -89,7 +89,7 @@ final class BitVector(val words: Array[Long], val length: Long) {
   /** Position of the (j+1)-th zero bit (0-based j). */
   def select0(j: Long): Long = {
     val zeros = length - countOnes
-    require(j >= 0 && j < zeros, s"select0($j) with only $zeros zeros")
+    if (j < 0 || j >= zeros) Check.fail(s"select0($j) with only $zeros zeros")
     var lo = 0
     var hi = blockRank.length - 1
     // zeros before block i = 512*i - blockRank(i) (monotone)

@@ -20,7 +20,7 @@ final class EliasFano private (
   private val firstValue: Long = if (length == 0) 0L else apply(0)
 
   def apply(i: Int): Long = {
-    require(i >= 0 && i < length, s"index $i out of [0, $length)")
+    if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
     val high = highs.select1(i) - i
     val low = if (lowBits == 0) 0L else lows(i)
     (high << lowBits) | low

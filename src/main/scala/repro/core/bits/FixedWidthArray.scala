@@ -7,7 +7,7 @@ package repro.core.bits
   */
 final class FixedWidthArray private (val length: Int, val width: Int, reader: BitReader) {
   def apply(i: Int): Long = {
-    require(i >= 0 && i < length, s"index $i out of [0, $length)")
+    if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
     reader.get(i.toLong * width, width)
   }
 

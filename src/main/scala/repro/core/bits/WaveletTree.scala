@@ -12,7 +12,7 @@ final class WaveletTree private (val length: Int, val sigma: Int, levels: Array[
 
   /** Symbol at position i. */
   def apply(i: Int): Int = {
-    require(i >= 0 && i < length, s"index $i out of [0, $length)")
+    if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
     var lo = 0
     var hi = sigma // [lo, hi) alphabet range of current node
     var pos = i.toLong
@@ -41,8 +41,8 @@ final class WaveletTree private (val length: Int, val sigma: Int, levels: Array[
 
   /** Occurrences of `sym` in positions [0, i). */
   def rank(sym: Int, i: Int): Int = {
-    require(sym >= 0 && sym < sigma, s"symbol $sym out of [0, $sigma)")
-    require(i >= 0 && i <= length, s"rank pos $i out of [0, $length]")
+    if (sym < 0 || sym >= sigma) Check.fail(s"symbol $sym out of [0, $sigma)")
+    if (i < 0 || i > length) Check.fail(s"rank pos $i out of [0, $length]")
     var lo = 0
     var hi = sigma
     var pos = i.toLong

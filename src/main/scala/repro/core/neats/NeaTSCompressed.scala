@@ -28,30 +28,20 @@ final class NeaTSCompressed(
 ) {
   def numFragments: Int = s.length
 
-  /** Algorithm 3: value at 0-based index idx. */
+  /** Algorithm 3: value at 0-based index idx. Allocation-free. */
   def apply(idx: Int): Long = {
-    require(idx >= 0 && idx < n, s"index $idx out of [0, $n)")
+    if (idx < 0 || idx >= n) Check.fail(s"index $idx out of [0, $n)")
     val frag = s.rank(idx) - 1
-    decodeAt(idx, frag)
-  }
-
-  private def kindParamsOf(frag: Int): (FunctionKind, Double, Double, Double) = {
     val kindId = k(frag)
     val kind = FunctionKind.byId(kindId)
-    val base = k.rank(kindId, frag) * kind.nParams
     val pf = p(kindId)
+    val base = k.rank(kindId, frag) * kind.nParams
     val p3 = if (kind.nParams == 3) pf(base + 2) else 0.0
-    (kind, pf(base), pf(base + 1), p3)
-  }
-
-  private def decodeAt(idx: Int, frag: Int): Long = {
-    val start = s(frag)
-    val (kind, m, b0, p3) = kindParamsOf(frag)
     val width = b(frag).toInt
-    val approx = math.floor(kind.eval((idx + 1).toDouble, m, b0, p3) + 1e-9).toLong
+    val approx = math.floor(kind.eval((idx + 1).toDouble, pf(base), pf(base + 1), p3) + 1e-9).toLong
     val corr =
       if (width == 0) 0L
-      else c.getSigned(o(frag) + (idx - start) * width.toLong, width)
+      else c.getSigned(o(frag) + (idx - s(frag)) * width.toLong, width)
     approx + corr - shift
   }
 
@@ -104,9 +94,11 @@ final class NeaTSCompressed(
   /** Algorithm 2: decompress the whole series. */
   def decompressAll(): Array[Long] = range(0, n)
 
-  /** Range scan [from, from+len): one rank, then sequential decoding. */
+  /** Range scan [from, from+len): one rank, then sequential decoding.
+    * Allocates only the output array.
+    */
   def range(from: Int, len: Int): Array[Long] = {
-    require(from >= 0 && len >= 0 && from + len <= n, s"range [$from, ${from + len}) out of [0, $n)")
+    if (from < 0 || len < 0 || from + len > n) Check.fail(s"range [$from, ${from + len}) out of [0, $n)")
     val out = new Array[Long](len)
     if (len == 0) return out
     var frag = s.rank(from) - 1
@@ -116,10 +108,14 @@ final class NeaTSCompressed(
       val end0 = if (frag + 1 < numFragments) s(frag + 1).toInt else n
       val end = math.min(end0, from + len)
       val start = s(frag).toInt
-      val (kind, m0, b0, p3) = kindParamsOf(frag)
+      val kindId = k(frag)
+      val kind = FunctionKind.byId(kindId)
+      val pf = p(kindId)
+      val base = k.rank(kindId, frag) * kind.nParams
+      val p3 = if (kind.nParams == 3) pf(base + 2) else 0.0
       val width = b(frag).toInt
       val off = o(frag) + (i - start).toLong * width
-      decodeRun(kind, m0, b0, p3, i, end, width, off, out, written)
+      decodeRun(kind, pf(base), pf(base + 1), p3, i, end, width, off, out, written)
       written += end - i
       i = end
       frag += 1

@@ -21,7 +21,8 @@ final case class Piece(start: Int, end: Int, kind: FunctionKind,
   * node k in between, the prefix edge (i, k) and the suffix edge (k, j);
   * edge weight = exact encoded size (corrections + parameters + metadata).
   * Runs in O(|F| |E| n) amortised; the fitting, nearly all of that work,
-  * runs in parallel (see [[Chains]]).
+  * runs in parallel, a block of nodes ahead of the relaxation (see
+  * [[Chains]]).
   */
 object Partitioner {
 
@@ -59,7 +60,7 @@ object Partitioner {
                      kinds: Seq[FunctionKind], eps: Long): Vector[Piece] =
     run(ys, shift, kinds.toArray, kinds.map(_ => eps).toArray, lossy = true)
 
-  /** DAG nodes per block of the parallel chain fill (see [[Chains]]). */
+  /** DAG nodes per block of the pipelined chain fill (see [[Chains]]). */
   private[neats] final val BlockNodes = 1024
 
   /** Algorithm 1 over the (pairKind(p), pairEps(p)) pairs. */
@@ -80,42 +81,48 @@ object Partitioner {
     val prevFit = new Array[Fit](n + 1)
     val prevEps = new Array[Long](n + 1)
 
-    var k = 0
-    while (k < n) {
-      if (k % BlockNodes == 0) chains.fill(math.min(n, k + BlockNodes))
-      // Refresh dead approximations and relax prefix edges (i, k).
-      var p = 0
-      while (p < nP) {
-        if (live(p) == null || live(p).end <= k) live(p) = chains.next(p)
-        val f = live(p)
-        val i = f.start
-        if (f.end > k && i < k && distance(i) < Inf) {
-          val w = (k - i).toLong * bitsPerPoint(p) + kap(p)
-          if (distance(k) > distance(i) + w) {
-            distance(k) = distance(i) + w
-            prevNode(k) = i; prevFit(k) = f; prevEps(k) = pairEps(p)
-          }
+    chains.start(math.min(n, BlockNodes))
+    try {
+      var k = 0
+      while (k < n) {
+        if (k % BlockNodes == 0) { // block k / BlockNodes is fitted; fit the next one meanwhile
+          chains.await()
+          if (k + BlockNodes < n) chains.start(math.min(n, k + 2 * BlockNodes))
         }
-        p += 1
-      }
-      // Relax suffix edges (k, j).
-      if (distance(k) < Inf) {
-        p = 0
+        // Refresh dead approximations and relax prefix edges (i, k).
+        var p = 0
         while (p < nP) {
+          if (live(p) == null || live(p).end <= k) live(p) = chains.next(p)
           val f = live(p)
-          val j = f.end
-          if (j > k && f.start <= k) {
-            val w = (j - k).toLong * bitsPerPoint(p) + kap(p)
-            if (distance(j) > distance(k) + w) {
-              distance(j) = distance(k) + w
-              prevNode(j) = k; prevFit(j) = f; prevEps(j) = pairEps(p)
+          val i = f.start
+          if (f.end > k && i < k && distance(i) < Inf) {
+            val w = (k - i).toLong * bitsPerPoint(p) + kap(p)
+            if (distance(k) > distance(i) + w) {
+              distance(k) = distance(i) + w
+              prevNode(k) = i; prevFit(k) = f; prevEps(k) = pairEps(p)
             }
           }
           p += 1
         }
+        // Relax suffix edges (k, j).
+        if (distance(k) < Inf) {
+          p = 0
+          while (p < nP) {
+            val f = live(p)
+            val j = f.end
+            if (j > k && f.start <= k) {
+              val w = (j - k).toLong * bitsPerPoint(p) + kap(p)
+              if (distance(j) > distance(k) + w) {
+                distance(j) = distance(k) + w
+                prevNode(j) = k; prevFit(j) = f; prevEps(j) = pairEps(p)
+              }
+            }
+            p += 1
+          }
+        }
+        k += 1
       }
-      k += 1
-    }
+    } finally chains.drain() // no fit task outlives the call, even on a throw
     require(distance(n) < Inf,
       "node n unreachable — no (kind, eps) pair could cover some point; include LinearKind")
 
@@ -142,22 +149,31 @@ object Partitioner {
   * from outside a fork-join pool), each with its own region; each task makes
   * the same `longestFragment` calls, with the same arguments, that the
   * sequential relaxation would, so the partition does not depend on the
-  * scheduling. Fits queued or live at once: at most pairs x (block + 1).
+  * scheduling.
+  *
+  * The fill is pipelined: `start` forks the tasks of the block after the
+  * one being relaxed into the other of two queue buffers, and `await` joins
+  * them when the relaxation reaches that block. A live fit is held by
+  * reference, so swapping buffers under it is safe. Fits queued or live at
+  * once: at most pairs x 2 (block + 1).
   */
 private final class Chains(ys: Array[Long], shift: Long,
                            kinds: Array[FunctionKind], eps: Array[Long]) {
-  private val queue = Array.fill(kinds.length)(new Array[Fit](math.min(ys.length, Partitioner.BlockNodes)))
+  private val buffers = Array.fill(2, kinds.length)(new Array[Fit](math.min(ys.length, Partitioner.BlockNodes)))
+  private var started = 0 // blocks started; block b fills buffers(b % 2)
+  private var pending: Array[Extend] = null // the started block's tasks until awaited
+  private var queue = buffers(0) // the awaited block's fits, which `next` reads
   private val taken = new Array[Int](kinds.length)
   private val nextStart = new Array[Int](kinds.length)
   private val regions = Array.fill(kinds.length)(new FeasibleRegion)
 
-  private final class Extend(p: Int, until: Int) extends java.util.concurrent.RecursiveAction {
+  private final class Extend(p: Int, until: Int, out: Array[Fit]) extends java.util.concurrent.RecursiveAction {
     def compute(): Unit = {
       var start = nextStart(p)
       var q = 0
       while (start < until) {
         val fit = ConvexFit.longestFragment(ys, shift, start, kinds(p), eps(p), regions(p))
-        queue(p)(q) = fit
+        out(q) = fit
         q += 1
         start = math.max(fit.end, start + 1)
       }
@@ -165,12 +181,41 @@ private final class Chains(ys: Array[Long], shift: Long,
     }
   }
 
-  /** Queues every pair's fits that start before node `until`; the previous
-    * block's fits must all have been taken.
+  /** Forks the tasks that queue every pair's fits starting before node
+    * `until`. The previous block must have been awaited, and the one before
+    * it fully taken: its buffer is reused. Each task is forked on its own,
+    * so that `await` can run the ones no worker has taken yet.
     */
-  def fill(until: Int): Unit = {
+  def start(until: Int): Unit = {
+    val buf = buffers(started % 2)
+    pending = Array.tabulate(kinds.length)(p => new Extend(p, until, buf(p)))
+    pending.foreach(_.fork())
+    started += 1
+  }
+
+  /** Joins the started block, latest fork first, and makes its fits the ones
+    * `next` returns. Every task is joined before the first failure is
+    * rethrown, so none is left running.
+    */
+  def await(): Unit = {
+    val tasks = pending
+    pending = null
+    var failure: Throwable = null
+    var i = tasks.length - 1
+    while (i >= 0) {
+      tasks(i).quietlyJoin()
+      if (failure == null) failure = tasks(i).getException
+      i -= 1
+    }
+    if (failure != null) throw failure
+    queue = buffers((started - 1) % 2)
     java.util.Arrays.fill(taken, 0)
-    java.util.concurrent.ForkJoinTask.invokeAll(kinds.indices.map(new Extend(_, until)): _*)
+  }
+
+  /** Waits for a started block that was never awaited (after a throw). */
+  def drain(): Unit = if (pending != null) {
+    pending.foreach(_.quietlyJoin())
+    pending = null
   }
 
   /** Pair p's next fit: the one starting at the node being relaxed. */

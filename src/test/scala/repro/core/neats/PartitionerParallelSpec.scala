@@ -7,9 +7,9 @@ import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.core.approx._
 
-/** The block-parallel chain fill of Algorithm 1 against the sequential
-  * relaxation it replaced: both must give the same pieces, parameters
-  * bit for bit, whatever the thread count or scheduling.
+/** The pipelined, block-parallel chain fill of Algorithm 1 against the
+  * sequential relaxation it replaced: both must give the same pieces,
+  * parameters bit for bit, whatever the thread count or scheduling.
   */
 class PartitionerParallelSpec extends SparkSpec {
   import PartitionerParallelSpec._
@@ -95,6 +95,48 @@ class PartitionerParallelSpec extends SparkSpec {
       Prop(got.map(bits) == want.map(bits)) :|
         s"n=${ys.length} kinds=$kinds eps=$eps: ${got.length} vs ${want.length} pieces"
     })
+  }
+
+  test("a fit live across two buffer swaps keeps its parameters") {
+    // Noise, then a 2,500-point constant run from inside block 0 or 1, then
+    // noise: the fits over the run stay live while the next two blocks are
+    // awaited and the run's own block buffer is refilled.
+    val rng = new Random(11)
+    for (runStart <- Seq(block / 2, block + 100)) {
+      val n = runStart + 2500 + 2 * block
+      val ys = Array.tabulate(n) { i =>
+        if (i >= runStart && i < runStart + 2500) 5000L else 5000L + rng.nextInt(2001) - 1000
+      }
+      val grid = NeaTS.epsGrid(ys)
+      val shift = NeaTS.shiftFor(ys, grid.max)
+      for (kinds <- Seq(FunctionKind.all, Seq(LinearKind))) {
+        val got = Partitioner.lossless(ys, shift, kinds, grid)
+        val (swap1, swap2) = ((runStart / block + 1) * block, (runStart / block + 2) * block)
+        assert(got.exists(p => p.start < swap1 && p.end > swap2), s"no piece spans nodes $swap1 and $swap2")
+        assert(got.map(bits) === sequential(ys, shift, kinds, grid, lossy = false).map(bits), s"run from $runStart")
+      }
+    }
+  }
+
+  test("a failing chain task reaches the caller with its type, none left queued") {
+    // A null kind makes its pair's task throw; the others must still be
+    // joined before the failure is rethrown. One worker runs every task, so
+    // a task that was not joined would still be in its queue.
+    val ys = Array.tabulate(3 * block)(i => (i % 97).toLong)
+    val kinds: Array[FunctionKind] = Array(LinearKind, QuadraticKind, null, RadicalKind, ExponentialKind)
+    val pool = new java.util.concurrent.ForkJoinPool(1)
+    try {
+      val (thrown, queued) = pool.submit(new java.util.concurrent.Callable[(Throwable, Int)] {
+        def call(): (Throwable, Int) = {
+          val chains = new Chains(ys, 1L, kinds, kinds.map(_ => 4L))
+          chains.start(block)
+          val thrown = try { chains.await(); null } catch { case t: Throwable => t }
+          (thrown, java.util.concurrent.ForkJoinTask.getQueuedTaskCount)
+        }
+      }).get()
+      assert(thrown.isInstanceOf[NullPointerException], thrown)
+      assert(queued === 0)
+    } finally pool.shutdown()
   }
 }
 
