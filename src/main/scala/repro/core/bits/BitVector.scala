@@ -9,7 +9,8 @@ package repro.core.bits
 final class BitVector(val words: Array[Long], val length: Long) {
   require(words.length.toLong * 64 >= length, "words too short for length")
 
-  // blockRank(i) = number of 1s strictly before word 8*i.
+  // blockRank(i) = number of 1s strictly before word 8*i: one popcount pass
+  // over the words, which also gives countOnes.
   private val blockRank: Array[Long] = {
     val nBlocks = (words.length + 7) / 8 + 1
     val br = new Array[Long](nBlocks)
@@ -26,10 +27,10 @@ final class BitVector(val words: Array[Long], val length: Long) {
 
   /** Total number of set bits. */
   val countOnes: Long = {
-    var acc = 0L
-    var w = 0
-    while (w < words.length) { acc += java.lang.Long.bitCount(maskedWord(w)); w += 1 }
-    acc
+    var garbage = 0L // set bits at or beyond `length`, counted in blockRank
+    var w = (length >>> 6).toInt
+    while (w < words.length) { garbage += java.lang.Long.bitCount(words(w) ^ maskedWord(w)); w += 1 }
+    blockRank(blockRank.length - 1) - garbage
   }
 
   // Last word with bits beyond `length` cleared (writers may leave garbage).
@@ -120,16 +121,6 @@ final class BitVector(val words: Array[Long], val length: Long) {
 }
 
 object BitVector {
-  /** Build from the set-bit positions (sorted, distinct) of a vector of `length` bits. */
-  def fromPositions(length: Long, positions: Iterable[Long]): BitVector = {
-    val words = new Array[Long](((length + 63) >>> 6).toInt)
-    positions.foreach { p =>
-      require(p >= 0 && p < length, s"position $p out of [0, $length)")
-      words((p >>> 6).toInt) |= 1L << (p & 63).toInt
-    }
-    new BitVector(words, length)
-  }
-
   def fromBooleans(bits: Seq[Boolean]): BitVector = {
     val w = new BitWriter()
     bits.foreach(b => w.appendBit(b))

@@ -8,12 +8,11 @@ package repro.core.bits
   * of elements <= v — in O(log n) by binary search over `apply`, matching
   * the paper's O(min(log m, log n/m)) bound for S.rank up to constants.
   */
-final class EliasFano private (
+final class EliasFano private[repro] (
     val length: Int,
-    universe: Long,
-    lowBits: Int,
-    lows: FixedWidthArray,
-    highs: BitVector,
+    private[repro] val lowBits: Int,
+    private[repro] val lows: FixedWidthArray,
+    private[repro] val highs: BitVector,
 ) {
 
   private val lastValue: Long = if (length == 0) -1L else apply(length - 1)
@@ -67,9 +66,15 @@ object EliasFano {
     val l = math.max(0, 63 - java.lang.Long.numberOfLeadingZeros(math.max(1L, u / n)))
     val lowMask = if (l == 0) 0L else (1L << l) - 1
     val lows = FixedWidthArray(values.map(_ & lowMask), math.max(1, l))
+    // element i sets bit (v_i >>> l) + i of the unary-coded high parts
     val highLen = values.length.toLong + (u >>> l) + 1
-    val positions = values.iterator.zipWithIndex.map { case (v, idx) => (v >>> l) + idx }.toSeq
-    val highs = BitVector.fromPositions(highLen, positions)
-    new EliasFano(values.length, u, l, lows, highs)
+    val highWords = new Array[Long](((highLen + 63) >>> 6).toInt)
+    i = 0
+    while (i < values.length) {
+      val pos = (values(i) >>> l) + i
+      highWords((pos >>> 6).toInt) |= 1L << (pos & 63).toInt
+      i += 1
+    }
+    new EliasFano(values.length, l, lows, new BitVector(highWords, highLen))
   }
 }

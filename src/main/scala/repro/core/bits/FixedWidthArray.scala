@@ -5,7 +5,10 @@ package repro.core.bits
   * The cell width is chosen by the caller (typically just enough for the
   * largest stored value, as the NeaTS layout prescribes for S/B/K/P).
   */
-final class FixedWidthArray private (val length: Int, val width: Int, reader: BitReader) {
+final class FixedWidthArray private[repro] (val length: Int, val width: Int, reader: BitReader) {
+  /** The packed cells, `ceil(length * width / 64)` words. */
+  private[repro] def words: Array[Long] = reader.words
+
   def apply(i: Int): Long = {
     if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
     reader.get(i.toLong * width, width)

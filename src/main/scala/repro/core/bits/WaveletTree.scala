@@ -7,7 +7,11 @@ package repro.core.bits
   * O(log sigma) time, as required to locate a fragment's parameters in
   * the per-kind parameter arrays P_f.
   */
-final class WaveletTree private (val length: Int, val sigma: Int, levels: Array[BitVector]) {
+final class WaveletTree private[repro] (
+    val length: Int,
+    val sigma: Int,
+    private[repro] val levels: Array[BitVector],
+) {
   private val height = levels.length
 
   /** Symbol at position i. */
@@ -75,10 +79,14 @@ final class WaveletTree private (val length: Int, val sigma: Int, levels: Array[
 }
 
 object WaveletTree {
+  /** Levels of the tree over [0, sigma): ceil(log2 sigma), at least 1. */
+  private[repro] def heightFor(sigma: Int): Int =
+    math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(1, sigma - 1)))
+
   def apply(symbols: Array[Int], sigma: Int): WaveletTree = {
     require(symbols.forall(s => s >= 0 && s < sigma), "symbol out of range")
     require(sigma >= 1)
-    val height = math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(1, sigma - 1)))
+    val height = heightFor(sigma)
     val levels = new Array[BitVector](height)
     // Each level is a full-length (n-bit) concatenation of the node intervals
     // left-to-right; a bit is 1 if the symbol goes to the right child of its

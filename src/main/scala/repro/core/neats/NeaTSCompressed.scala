@@ -128,35 +128,10 @@ final class NeaTSCompressed(
     2L * 64 + s.sizeInBits + b.sizeInBits + o.sizeInBits + c.lengthInBits +
       k.sizeInBits + p.map(_.length.toLong * 64 + 32).sum
 
-  /** Serialize to bytes (the on-disk/"row-group" form used by the Spark layer). */
-  def toBytes: Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val out = new java.io.DataOutputStream(bos)
-    out.writeInt(n)
-    out.writeLong(shift)
-    val m = numFragments
-    out.writeInt(m)
-    // starts, widths, offsets, kinds as plain arrays; re-built on load
-    var i = 0
-    while (i < m) { out.writeInt(s(i).toInt); i += 1 }
-    i = 0
-    while (i < m) { out.writeByte(b(i).toInt); i += 1 }
-    i = 0
-    while (i <= m) { out.writeLong(o(i)); i += 1 }
-    i = 0
-    while (i < m) { out.writeByte(k(i)); i += 1 }
-    out.writeInt(p.length)
-    p.foreach { arr =>
-      out.writeInt(arr.length)
-      arr.foreach(out.writeDouble)
-    }
-    val words = c.words
-    out.writeLong(c.lengthInBits)
-    out.writeInt(words.length)
-    words.foreach(out.writeLong)
-    out.flush()
-    bos.toByteArray
-  }
+  /** Serialize to bytes (the on-disk/"row-group" form used by the Spark
+    * layer): the in-memory words, see [[BlobFormat]].
+    */
+  def toBytes: Array[Byte] = BlobFormat.write(this)
 }
 
 object NeaTSCompressed {
@@ -209,31 +184,8 @@ object NeaTSCompressed {
     )
   }
 
-  def fromBytes(bytes: Array[Byte]): NeaTSCompressed = {
-    val in = new java.io.DataInputStream(new java.io.ByteArrayInputStream(bytes))
-    val n = in.readInt()
-    val shift = in.readLong()
-    val m = in.readInt()
-    val starts = Array.fill(m)(in.readInt().toLong)
-    val widths = Array.fill(m)(in.readByte().toLong)
-    val offsets = Array.fill(m + 1)(in.readLong())
-    val kinds = Array.fill(m)(in.readByte().toInt)
-    val nKinds = in.readInt()
-    val params = Array.fill(nKinds) {
-      val len = in.readInt()
-      Array.fill(len)(in.readDouble())
-    }
-    val bitLen = in.readLong()
-    val nWords = in.readInt()
-    val words = Array.fill(nWords)(in.readLong())
-    new NeaTSCompressed(
-      n, shift,
-      EliasFano(starts),
-      FixedWidthArray(widths, 6),
-      EliasFano(offsets),
-      new BitReader(words, bitLen),
-      WaveletTree(kinds, math.max(1, FunctionKind.all.map(_.id).max + 1)),
-      params,
-    )
-  }
+  /** Load a blob of [[toBytes]]; throws [[CorruptBlobException]] on anything
+    * malformed, truncated or altered.
+    */
+  def fromBytes(bytes: Array[Byte]): NeaTSCompressed = BlobFormat.read(bytes)
 }

@@ -119,16 +119,6 @@ class BitVectorSpec extends SparkSpec {
     checkAll(Seq.fill(700)(false))
   }
 
-  test("fromPositions equals fromBooleans") {
-    val rng = new Random(6)
-    val bits = Seq.fill(1000)(rng.nextInt(3) == 0)
-    val pos = bits.zipWithIndex.filter(_._1).map(_._2.toLong)
-    val a = BitVector.fromBooleans(bits)
-    val b = BitVector.fromPositions(bits.length.toLong, pos)
-    (0 until bits.length).foreach(i => assert(a(i.toLong) === b(i.toLong)))
-    assert(a.countOnes === b.countOnes)
-  }
-
   test("select bounds are enforced") {
     val bv = BitVector.fromBooleans(Seq(true, false, true))
     intercept[IllegalArgumentException](bv.select1(2))
@@ -172,6 +162,18 @@ class EliasFanoSpec extends SparkSpec {
     val rng = new Random(8)
     val vs = Array.iterate(1000000L, 200)(v => v + 1 + rng.nextInt(1000000))
     check(vs)
+  }
+
+  test("high bits are the positions (v >>> l) + i, as fromBooleans sets them") {
+    val rng = new Random(6)
+    for (n <- Seq(0, 1, 2, 100, 1000)) {
+      val vs = Array.iterate(rng.nextInt(10).toLong, n)(v => v + rng.nextInt(50))
+      val ef = EliasFano(vs)
+      val positions = vs.indices.map(i => (vs(i) >>> ef.lowBits) + i).toSet
+      val expected = BitVector.fromBooleans((0L until ef.highs.length).map(positions.contains))
+      assert(ef.highs.words.toSeq === expected.words.toSeq)
+      assert(ef.highs.countOnes === n)
+    }
   }
 
   test("rank below the first element is 0") {
