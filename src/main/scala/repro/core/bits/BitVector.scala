@@ -1,10 +1,11 @@
 package repro.core.bits
 
-/** Static bitvector with O(1) rank and O(log)-with-sampling select.
+/** Static bitvector with O(1) rank and O(log n) select.
   *
-  * Rank is supported by 512-bit superblock counters (one long per 8 words),
-  * select1/select0 by binary search over the counters followed by an
-  * in-block popcount scan — the classic Jacobson/Clark layout, simplified.
+  * Rank is supported by 512-bit superblock counters (one long per 8 words).
+  * select1/select0 binary-search the counters (there are no select
+  * samples), scan the superblock's words by popcount, and find the bit in
+  * the word with Vigna's broadword select ([[BitVector.selectInWord]]).
   */
 final class BitVector(val words: Array[Long], val length: Long) {
   require(words.length.toLong * 64 >= length, "words too short for length")
@@ -33,15 +34,13 @@ final class BitVector(val words: Array[Long], val length: Long) {
     blockRank(blockRank.length - 1) - garbage
   }
 
-  // Last word with bits beyond `length` cleared (writers may leave garbage).
-  private def maskedWord(w: Int): Long = {
-    val hi = (w.toLong + 1) * 64
-    if (hi <= length) words(w)
-    else {
-      val keep = (length - w.toLong * 64).toInt
-      if (keep <= 0) 0L else words(w) & ((1L << keep) - 1)
-    }
+  // The bits of word w below `length` (writers may leave garbage beyond it).
+  private def validBits(w: Int): Long = {
+    val keep = length - w.toLong * 64
+    if (keep >= 64) -1L else if (keep <= 0) 0L else (1L << keep) - 1
   }
+
+  private def maskedWord(w: Int): Long = words(w) & validBits(w)
 
   def apply(i: Long): Boolean = {
     if (i < 0 || i >= length) Check.fail(s"bit $i out of [0, $length)")
@@ -74,13 +73,9 @@ final class BitVector(val words: Array[Long], val length: Long) {
     var acc = blockRank(lo)
     var w = lo * 8
     while (true) {
-      val pc = java.lang.Long.bitCount(maskedWord(w))
-      if (acc + pc > j) {
-        var word = maskedWord(w)
-        var need = (j - acc).toInt
-        while (need > 0) { word &= word - 1; need -= 1 }
-        return w.toLong * 64 + java.lang.Long.numberOfTrailingZeros(word)
-      }
+      val word = maskedWord(w)
+      val pc = java.lang.Long.bitCount(word)
+      if (acc + pc > j) return w.toLong * 64 + BitVector.selectInWord(word, (j - acc).toInt)
       acc += pc
       w += 1
     }
@@ -102,15 +97,9 @@ final class BitVector(val words: Array[Long], val length: Long) {
     var acc = math.min(lo.toLong * 512, length) - blockRank(lo)
     var w = lo * 8
     while (true) {
-      val validBits = math.max(0L, math.min(64L, length - w.toLong * 64)).toInt
-      val word = ~maskedWord(w) & (if (validBits == 64) -1L else (1L << validBits) - 1)
+      val word = ~words(w) & validBits(w)
       val pc = java.lang.Long.bitCount(word)
-      if (acc + pc > j) {
-        var ww = word
-        var need = (j - acc).toInt
-        while (need > 0) { ww &= ww - 1; need -= 1 }
-        return w.toLong * 64 + java.lang.Long.numberOfTrailingZeros(ww)
-      }
+      if (acc + pc > j) return w.toLong * 64 + BitVector.selectInWord(word, (j - acc).toInt)
       acc += pc
       w += 1
     }
@@ -121,6 +110,40 @@ final class BitVector(val words: Array[Long], val length: Long) {
 }
 
 object BitVector {
+  private val OnesStep4 = 0x1111111111111111L
+  private val OnesStep8 = 0x0101010101010101L
+  private val MsbsStep8 = 0x80L * OnesStep8
+
+  /** selectInByte(b | r << 8): position of the (r+1)-th set bit of byte b,
+    * for r in [0, 8) (0 where b has fewer set bits); 2 KiB.
+    */
+  private val selectInByte: Array[Byte] = {
+    val t = new Array[Byte](2048)
+    for (b <- 0 until 256; r <- 0 until 8) {
+      var x = b
+      var k = 0
+      while (k < r && x != 0) { x &= x - 1; k += 1 }
+      if (x != 0) t(b | r << 8) = Integer.numberOfTrailingZeros(x).toByte
+    }
+    t
+  }
+
+  /** Position of the (r+1)-th set bit of `x` (0-based r < bitCount(x)),
+    * branch-free: Vigna's broadword select ("Broadword Implementation of
+    * Rank/Select Queries", WEA 2008). Byte-wise popcounts, summed by one
+    * multiply, are compared with r in all eight bytes at once to find the
+    * byte that holds the bit; a table lookup finds it within the byte.
+    */
+  private[bits] def selectInWord(x: Long, r: Int): Int = {
+    var byteSums = x - ((x & 0xa * OnesStep4) >>> 1)
+    byteSums = (byteSums & 3 * OnesStep4) + ((byteSums >>> 2) & 3 * OnesStep4)
+    byteSums = (byteSums + (byteSums >>> 4)) & 0x0f * OnesStep8
+    byteSums *= OnesStep8 // byte i: set bits in bytes 0..i
+    val byteOffset = ((((((r * OnesStep8) | MsbsStep8) - byteSums) & MsbsStep8) >>> 7) * OnesStep8 >>> 53) & ~0x7L
+    val byteRank = r - (((byteSums << 8) >>> byteOffset) & 0xffL).toInt
+    (byteOffset + selectInByte(((x >>> byteOffset) & 0xffL).toInt | byteRank << 8)).toInt
+  }
+
   def fromBooleans(bits: Seq[Boolean]): BitVector = {
     val w = new BitWriter()
     bits.foreach(b => w.appendBit(b))

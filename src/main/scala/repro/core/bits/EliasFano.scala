@@ -3,10 +3,11 @@ package repro.core.bits
 /** Elias-Fano encoding of a monotone non-decreasing sequence of naturals.
   *
   * Stores the `l = max(0, floor(log2(u/n)))` low bits of each element in a
-  * packed array, and the high bits as a unary-coded bitvector. Supports
-  * O(1) `apply` (via select1 on the high bits) and `rank(v)` — the number
-  * of elements <= v — in O(log n) by binary search over `apply`, matching
-  * the paper's O(min(log m, log n/m)) bound for S.rank up to constants.
+  * packed array, and the high bits as a unary-coded bitvector. `apply(i)`
+  * is one select1 on the high bits. [[predecessor]] gives the rank of `v`
+  * (elements <= v) and the largest element <= v from one select0, which
+  * finds the bucket of v's high part, and a scan of the bucket's low bits;
+  * `rank(v)` is its rank half.
   */
 final class EliasFano private[repro] (
     val length: Int,
@@ -25,27 +26,45 @@ final class EliasFano private[repro] (
     (high << lowBits) | low
   }
 
-  /** Number of elements <= v. One select0 into the high bits (to locate the
-    * bucket of v) plus a scan of the bucket's low bits — the classic
-    * Elias-Fano predecessor, O(log + bucket size), far cheaper than a binary
-    * search of O(log) full accesses.
+  /** Number of elements <= v. */
+  def rank(v: Long): Int = predecessor(v).toInt
+
+  /** The rank of `v` (elements <= v) in the low 32 bits, and the low 32
+    * bits of its predecessor (the largest element <= v; 0 if there is none)
+    * in the high 32 bits, so that nothing is allocated. The predecessor is
+    * exact for elements below 2^32, such as S's fragment starts. It is the
+    * last element of v's bucket that the scan passes or, if the scan passes
+    * none, the last element of an earlier bucket, whose high part is read
+    * off the last set bit before v's bucket.
     */
-  def rank(v: Long): Int = {
-    if (length == 0 || v < firstValue) return 0
-    if (v >= lastValue) return length
+  def predecessor(v: Long): Long = {
+    if (length == 0 || v < firstValue) return 0L
+    if (v >= lastValue) return (lastValue << 32) | length
     val h = v >>> lowBits
-    val vLow = if (lowBits == 0) 0L else v & ((1L << lowBits) - 1)
-    // elements with high < h sit before the h-th zero (1-based) of the highs
-    var pos = if (h == 0) 0L else highs.select0(h - 1) + 1
+    val vLow = v & ((1L << lowBits) - 1)
+    val words = highs.words
+    // elements with high < h sit before the h-th zero (1-based) of the highs;
+    // v < lastValue, so a zero or a larger element ends the bucket in range
+    val bucket = if (h == 0) 0L else highs.select0(h - 1) + 1
+    var pos = bucket
     var i = (pos - h).toInt // element index = ones before pos
-    var result = i
+    var low = -1L // low bits of the last element of the bucket that is <= v
     var scanning = true
-    while (scanning && pos < highs.length && highs(pos)) {
+    while (scanning && ((words((pos >>> 6).toInt) >>> pos) & 1L) != 0) {
       val elemLow = if (lowBits == 0) 0L else lows(i)
-      if (elemLow <= vLow) { result = i + 1; pos += 1; i += 1 }
+      if (elemLow <= vLow) { low = elemLow; pos += 1; i += 1 }
       else scanning = false
     }
-    result
+    val pred =
+      if (low >= 0) (h << lowBits) | low
+      else { // v >= firstValue, so element i - 1 exists and its bit precedes the bucket
+        var w = ((bucket - 1) >>> 6).toInt
+        var word = words(w) & (-1L >>> (63 - ((bucket - 1) & 63).toInt))
+        while (word == 0) { w -= 1; word = words(w) }
+        val high = w.toLong * 64 + 63 - java.lang.Long.numberOfLeadingZeros(word) - (i - 1)
+        (high << lowBits) | (if (lowBits == 0) 0L else lows(i - 1))
+      }
+    (pred << 32) | i
   }
 
   def sizeInBits: Long = 3L * 64 + lows.sizeInBits + highs.sizeInBits

@@ -1,17 +1,22 @@
 package repro.core.bits
 
-/** Immutable array of `n` cells of exactly `width` bits each, O(1) access.
+/** Immutable array of `n` cells of exactly `width` bits each (1 to 64), O(1)
+  * access.
   *
   * The cell width is chosen by the caller (typically just enough for the
-  * largest stored value, as the NeaTS layout prescribes for S/B/K/P).
+  * largest stored value, as the NeaTS layout prescribes for S/B/K/P). The
+  * packed cells are `ceil(length * width / 64)` words, read in place.
   */
-final class FixedWidthArray private[repro] (val length: Int, val width: Int, reader: BitReader) {
-  /** The packed cells, `ceil(length * width / 64)` words. */
-  private[repro] def words: Array[Long] = reader.words
+final class FixedWidthArray private[repro] (val length: Int, val width: Int, private[repro] val words: Array[Long]) {
 
   def apply(i: Int): Long = {
     if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
-    reader.get(i.toLong * width, width)
+    val pos = i.toLong * width
+    val w = (pos >>> 6).toInt
+    val bit = (pos & 63).toInt
+    var v = words(w) >>> bit
+    if (bit + width > 64) v |= words(w + 1) << (64 - bit)
+    v & (-1L >>> (64 - width))
   }
 
   def sizeInBits: Long = 2L * 32 + length.toLong * width
@@ -27,9 +32,10 @@ object FixedWidthArray {
   }
 
   def apply(values: Array[Long], width: Int): FixedWidthArray = {
+    require(width >= 1 && width <= 64, s"bad width $width")
     val w = new BitWriter(math.max(1, ((values.length.toLong * width + 63) / 64).toInt))
     var i = 0
     while (i < values.length) { w.append(values(i), width); i += 1 }
-    new FixedWidthArray(values.length, width, new BitReader(w.words, w.lengthInBits))
+    new FixedWidthArray(values.length, width, w.words)
   }
 }

@@ -5,72 +5,64 @@ package repro.core.bits
   * Used by the NeaTS layout to represent the function-kind string K and
   * answer `rank(sym, i)` — occurrences of `sym` in K[0, i) — in
   * O(log sigma) time, as required to locate a fragment's parameters in
-  * the per-kind parameter arrays P_f.
+  * the per-kind parameter arrays P_f. [[inverseSelect]] gives a
+  * fragment's kind and that rank together, from one descent.
   */
 final class WaveletTree private[repro] (
     val length: Int,
     val sigma: Int,
     private[repro] val levels: Array[BitVector],
 ) {
-  private val height = levels.length
-
   /** Symbol at position i. */
-  def apply(i: Int): Int = {
+  def apply(i: Int): Int = (inverseSelect(i) >>> 32).toInt
+
+  /** Occurrences of `sym` in positions [0, i). */
+  def rank(sym: Int, i: Int): Int = {
+    if (sym < 0 || sym >= sigma) Check.fail(s"symbol $sym out of [0, $sigma)")
+    if (i < 0 || i > length) Check.fail(s"rank pos $i out of [0, $length]")
+    descend(i, sym).toInt
+  }
+
+  /** The symbol at position i in the high 32 bits and its occurrences in
+    * [0, i) in the low 32 bits, from one descent: the position reached in
+    * the leaf is that rank.
+    */
+  def inverseSelect(i: Int): Long = {
     if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
+    descend(i, -1)
+  }
+
+  /** Descends from the root with position i, toward the leaf of `sym`, or
+    * along the bits at the position when `sym` is negative; returns the
+    * leaf's symbol in the high and the position in it in the low 32 bits.
+    * Rank counters at a node's start are skipped where it starts at 0, and
+    * the node length is found only where a child below is not a leaf.
+    */
+  private def descend(i: Int, sym: Int): Long = {
     var lo = 0
     var hi = sigma // [lo, hi) alphabet range of current node
     var pos = i.toLong
     var offset = 0L // start of current node's interval in the level bitvector
     var nodeLen = length.toLong
     var level = 0
-    while (hi - lo > 1) {
+    // a rank query ends early once no occurrence is left before pos
+    while (hi - lo > 1 && (pos > 0 || sym < 0)) {
       val bv = levels(level)
-      val onesBefore = bv.rank1(offset + pos) - bv.rank1(offset)
-      val onesTotal = bv.rank1(offset + nodeLen) - bv.rank1(offset)
+      val onesAtOffset = if (offset == 0) 0L else bv.rank1(offset)
+      val onesBefore = bv.rank1(offset + pos) - onesAtOffset
       val mid = (lo + hi + 1) / 2
-      if (bv(offset + pos)) { // right child
-        lo = mid
-        pos = onesBefore
-        offset = offset + (nodeLen - onesTotal)
-        nodeLen = onesTotal
-      } else { // left child
-        hi = mid
-        pos = pos - onesBefore
-        nodeLen = nodeLen - onesTotal
+      val right = if (sym < 0) bv(offset + pos) else sym >= mid
+      if (right) lo = mid else hi = mid
+      if (hi - lo > 1) {
+        val end = offset + nodeLen
+        val onesTotal = (if (end == bv.length) bv.countOnes else bv.rank1(end)) - onesAtOffset
+        if (right) { offset += nodeLen - onesTotal; nodeLen = onesTotal }
+        else nodeLen -= onesTotal
       }
+      pos = if (right) onesBefore else pos - onesBefore
       level += 1
     }
-    lo
-  }
-
-  /** Occurrences of `sym` in positions [0, i). */
-  def rank(sym: Int, i: Int): Int = {
-    if (sym < 0 || sym >= sigma) Check.fail(s"symbol $sym out of [0, $sigma)")
-    if (i < 0 || i > length) Check.fail(s"rank pos $i out of [0, $length]")
-    var lo = 0
-    var hi = sigma
-    var pos = i.toLong
-    var offset = 0L
-    var nodeLen = length.toLong
-    var level = 0
-    while (hi - lo > 1 && pos > 0) {
-      val bv = levels(level)
-      val onesBefore = bv.rank1(offset + pos) - bv.rank1(offset)
-      val onesTotal = bv.rank1(offset + nodeLen) - bv.rank1(offset)
-      val mid = (lo + hi + 1) / 2
-      if (sym >= mid) {
-        lo = mid
-        pos = onesBefore
-        offset = offset + (nodeLen - onesTotal)
-        nodeLen = onesTotal
-      } else {
-        hi = mid
-        pos = pos - onesBefore
-        nodeLen = nodeLen - onesTotal
-      }
-      level += 1
-    }
-    if (hi - lo == 1) pos.toInt else 0
+    (lo.toLong << 32) | pos
   }
 
   def sizeInBits: Long = 2L * 32 + levels.map(_.sizeInBits).sum

@@ -125,8 +125,7 @@ private[neats] object BlobFormat {
 
     def fixedWidth(length: Int, width: Int, what: String): FixedWidthArray = {
       if (width < 1 || width > 64) corrupt(s"$what has width $width")
-      val bits = length.toLong * width
-      new FixedWidthArray(length, width, new BitReader(words(bits, what), bits))
+      new FixedWidthArray(length, width, words(length.toLong * width, what))
     }
 
     def eliasFano(what: String): EliasFano = {

@@ -13,8 +13,14 @@ import repro.core.bits._
   *  - K: wavelet tree over the function-kind string, with rank_f;
   *  - P: per-kind concatenated parameter arrays (64-bit doubles).
   *
-  * Supports full decompression (Algorithm 2), O(log m) random access
-  * (Algorithm 3; the rank is the only non-constant step) and range scans.
+  * Supports full decompression (Algorithm 2), random access (Algorithm 3)
+  * and range scans. A lookup walks each structure once: one predecessor
+  * query on S gives the fragment and its start, one wavelet descent on K
+  * gives its kind and the rank that locates its parameters, and one select
+  * on O its correction offset. S's select0 and O's select1 binary-search
+  * their superblock counters, O(log m), and S's bucket scan passes the few
+  * starts that share the index's high bits; every other step is O(1) for
+  * the fixed alphabet of kinds.
   */
 final class NeaTSCompressed(
     val n: Int,
@@ -31,17 +37,19 @@ final class NeaTSCompressed(
   /** Algorithm 3: value at 0-based index idx. Allocation-free. */
   def apply(idx: Int): Long = {
     if (idx < 0 || idx >= n) Check.fail(s"index $idx out of [0, $n)")
-    val frag = s.rank(idx) - 1
-    val kindId = k(frag)
+    val pred = s.predecessor(idx) // (start << 32) | (frag + 1)
+    val frag = pred.toInt - 1
+    val kindRank = k.inverseSelect(frag) // (kindId << 32) | rank
+    val kindId = (kindRank >>> 32).toInt
     val kind = FunctionKind.byId(kindId)
     val pf = p(kindId)
-    val base = k.rank(kindId, frag) * kind.nParams
+    val base = kindRank.toInt * kind.nParams
     val p3 = if (kind.nParams == 3) pf(base + 2) else 0.0
     val width = b(frag).toInt
     val approx = math.floor(kind.eval((idx + 1).toDouble, pf(base), pf(base + 1), p3) + 1e-9).toLong
     val corr =
       if (width == 0) 0L
-      else c.getSigned(o(frag) + (idx - s(frag)) * width.toLong, width)
+      else c.getSigned(o(frag) + (idx - (pred >>> 32)) * width.toLong, width)
     approx + corr - shift
   }
 

@@ -1,7 +1,18 @@
 package repro.core.bits
 
 import java.util.Random
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
+
+/** Runs a property for a fixed seed, so that every run checks the same cases. */
+private object FixedSeed {
+  def check(prop: Prop, cases: Int = 200): Test.Result =
+    Test.check(Test.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(20261019L)), prop)
+
+  def report(result: Test.Result): String = Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams)
+}
 
 class BitsSpec extends SparkSpec {
 
@@ -119,6 +130,29 @@ class BitVectorSpec extends SparkSpec {
     checkAll(Seq.fill(700)(false))
   }
 
+  /** The loop that broadword select replaced: clear the r lowest set bits. */
+  private def selectByLoop(x: Long, r: Int): Int = {
+    var word = x
+    var need = r
+    while (need > 0) { word &= word - 1; need -= 1 }
+    java.lang.Long.numberOfTrailingZeros(word)
+  }
+
+  private def selectsDiffer(x: Long): Seq[Int] =
+    (0 until java.lang.Long.bitCount(x)).filter(r => BitVector.selectInWord(x, r) != selectByLoop(x, r))
+
+  test("broadword select equals the clear-lowest-bit loop at every rank of a word") {
+    val fixed = Seq(1L << 63, -1L, 1L, 0x8000000000000001L, 0x5555555555555555L) ++ (0 until 64).map(1L << _)
+    fixed.foreach(x => assert(selectsDiffer(x).isEmpty, f"word $x%016x"))
+    val sparse = for (a <- Gen.long; b <- Gen.long; c <- Gen.long) yield a & b & c
+    val words = Gen.oneOf(Gen.long, sparse, Gen.choose(0, 63).map(b => 1L << b), Gen.long.map(_ | (1L << 63)))
+    val result = FixedSeed.check(Prop.forAllNoShrink(words) { x =>
+      val differ = selectsDiffer(x)
+      Prop(differ.isEmpty) :| f"word $x%016x, ranks ${differ.mkString(", ")}"
+    }, cases = 2000)
+    assert(result.passed, FixedSeed.report(result))
+  }
+
   test("select bounds are enforced") {
     val bv = BitVector.fromBooleans(Seq(true, false, true))
     intercept[IllegalArgumentException](bv.select1(2))
@@ -176,6 +210,49 @@ class EliasFanoSpec extends SparkSpec {
     }
   }
 
+  /** Monotone sequences with repeats, over dense and sparse universes; a
+    * dense one of n values below n has lowBits = 0.
+    */
+  private val sequences: Gen[Array[Long]] = for {
+    n <- Gen.choose(1, 400)
+    maxGap <- Gen.oneOf(0L, 1L, 2L, 50L, 1L << 20, 1L << 40)
+    repeats <- Gen.oneOf(0.0, 0.3, 0.9)
+    first <- Gen.choose(0L, 1000L)
+    seed <- Gen.long
+  } yield {
+    val rng = new Random(seed)
+    Array.iterate(first, n) { v =>
+      if (rng.nextDouble() < repeats) v else v + 1 + (rng.nextLong() & Long.MaxValue) % (maxGap + 1)
+    }
+  }
+
+  test("predecessor equals (rank(v), apply(rank(v) - 1)) at and between the elements") {
+    val result = FixedSeed.check(Prop.forAllNoShrink(sequences) { vs =>
+      val ef = EliasFano(vs)
+      val probes = (vs.flatMap(v => Seq(v - 1, v, v + 1, v + (v >>> 1))) ++ Seq(0L, vs.last + 1000)).filter(_ >= 0)
+      val wrong = probes.filterNot { v =>
+        val rank = vs.count(_ <= v)
+        val pred = ef.predecessor(v)
+        pred.toInt == rank && ef.rank(v) == rank &&
+          (pred >>> 32) == (if (rank == 0) 0L else ef(rank - 1) & 0xffffffffL)
+      }
+      Prop(wrong.isEmpty) :| s"n=${vs.length}, lowBits=${ef.lowBits}: wrong at ${wrong.take(5).mkString(", ")}"
+    })
+    assert(result.passed, FixedSeed.report(result))
+  }
+
+  test("predecessor covers lowBits = 0 and sequences of one repeated value") {
+    for (vs <- Seq(Array.tabulate(300)(_.toLong), Array.fill(70)(5L), Array(0L, 0L, 3L, 3L, 3L, 9L))) {
+      val ef = EliasFano(vs)
+      (0L to vs.last + 2).foreach { v =>
+        val rank = vs.count(_ <= v)
+        val want = ((if (rank == 0) 0L else vs(rank - 1)) << 32) | rank
+        assert(ef.predecessor(v) === want, s"v=$v, lowBits=${ef.lowBits}")
+      }
+    }
+    assert(EliasFano(Array.tabulate(300)(_.toLong)).lowBits === 0)
+  }
+
   test("rank below the first element is 0") {
     val ef = EliasFano(Array(2L, 5L, 9L))
     assert(ef.rank(1) === 0)
@@ -196,6 +273,30 @@ class WaveletTreeSpec extends SparkSpec {
   test("random strings over alphabets of size 2..9") {
     val rng = new Random(9)
     for (sigma <- 2 to 9) check(Array.fill(800)(rng.nextInt(sigma)), sigma)
+  }
+
+  test("inverseSelect equals (apply(i), rank(apply(i), i)) for sigma 1..9") {
+    val strings = for {
+      sigma <- Gen.choose(1, 9)
+      n <- Gen.choose(1, 600)
+      skew <- Gen.oneOf(false, true)
+      seed <- Gen.long
+    } yield {
+      val rng = new Random(seed)
+      (Array.fill(n)(if (skew && rng.nextInt(4) > 0) sigma - 1 else rng.nextInt(sigma)), sigma)
+    }
+    val result = FixedSeed.check(Prop.forAllNoShrink(strings) { case (symbols, sigma) =>
+      val wt = WaveletTree(symbols, sigma)
+      val counts = new Array[Int](sigma)
+      val wrong = symbols.indices.filterNot { i =>
+        val sym = symbols(i)
+        val want = (sym.toLong << 32) | counts(sym)
+        counts(sym) += 1
+        wt.inverseSelect(i) == want && wt(i) == sym && wt.rank(sym, i) == want.toInt
+      }
+      Prop(wrong.isEmpty) :| s"sigma=$sigma, n=${symbols.length}: wrong at ${wrong.take(5).mkString(", ")}"
+    })
+    assert(result.passed, FixedSeed.report(result))
   }
 
   test("single-symbol alphabet") {

@@ -161,6 +161,19 @@ class NeaTSSpec extends SparkSpec {
     assert(c.range(0, data.n).toSeq === all.toSeq)
   }
 
+  test("apply and range agree at every index of every analogue, plain and lifted by 2^30") {
+    for (ds <- TimeSeries.names; lift <- Seq(0L, 1L << 30)) {
+      val ys = TimeSeries.dataset(ds, 1500).longs.map(_ + lift)
+      val c = NeaTS.compress(ys)
+      assert(c.decompressAll().toSeq === ys.toSeq, s"$ds + $lift")
+      ys.indices.foreach { i =>
+        val len = math.min(ys.length - i, 37)
+        assert(c(i) === ys(i), s"$ds + $lift: apply($i)")
+        assert(c.range(i, len).toSeq === ys.slice(i, i + len).toSeq, s"$ds + $lift: range($i, $len)")
+      }
+    }
+  }
+
   test("serialization roundtrips") {
     val data = TimeSeries.dataset("US", 1500)
     val c = NeaTS.compress(data.longs)
