@@ -175,7 +175,8 @@ object Harness {
     val neatsStarts = neatsPieces.map(_.start)
     val plaEval = (i: Int) => plaFits(idxOf(plaStarts, i)).eval(i)
     val aaEval = (i: Int) => aaFrags(idxOf(aaStarts, i)).eval(i) - shift
-    val neatsEval = (i: Int) => neatsPieces(idxOf(neatsStarts, i)).eval(i) - shift
+    // NeaTS-L's output is what `compressLossy(…).decompressAll()` returns
+    val neatsEval = (i: Int) => (neatsPieces(idxOf(neatsStarts, i)).approx(i) - shift).toDouble
     val bytes = ds.n.toDouble * 8
     LossyRow(
       ds.name, eps, 100.0 * eps / math.max(1L, ds.valueRange),

@@ -41,6 +41,14 @@ sealed trait FunctionKind {
 
   /** Evaluate the fitted function at global timestamp x. */
   def eval(x: Double, m: Double, b: Double, p3: Double): Double
+
+  /** The integer that the correction at 0-based index `idx` (x = idx + 1) is
+    * stored against: the one rule shared by the encoder (`build`, `repair`)
+    * and the decoder (`apply`, `range`). The 1e-9 keeps an exact fit that
+    * rounds just below an integer on that integer.
+    */
+  final def approx(idx: Int, m: Double, b: Double, p3: Double): Long =
+    math.floor(eval((idx + 1).toDouble, m, b, p3) + 1e-9).toLong
 }
 
 /** f(x) = m*x + b. */
@@ -109,12 +117,16 @@ object FunctionKind {
   final val VacuousPoint = 1
   final val OutOfDomainPoint = 2
 
-  /** The four kinds used in the paper's experiments (§IV-A). */
+  /** The four kinds used in the paper's experiments (§IV-A), in id order. */
   val all: Vector[FunctionKind] = Vector(LinearKind, RadicalKind, ExponentialKind, QuadraticKind)
+  require(all.indices.forall(i => all(i).id == i), "kind ids must be 0 until all.length, in order")
 
-  private val ById: Array[FunctionKind] = all.sortBy(_.id).toArray // ids are 0 until all.length
+  /** σ: K's alphabet size and P's number of arrays; kind ids are `0 until sigma`. */
+  val sigma: Int = all.length
+
+  private val ById: Array[FunctionKind] = all.toArray
 
   def byId(id: Int): FunctionKind =
-    if (id >= 0 && id < ById.length) ById(id)
+    if (id >= 0 && id < sigma) ById(id)
     else throw new IllegalArgumentException(s"unknown function kind id $id")
 }

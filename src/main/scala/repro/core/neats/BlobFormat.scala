@@ -166,8 +166,7 @@ private[neats] object BlobFormat {
     val c = new BitReader(in.words(cBits, "C"), cBits)
     val kLength = in.count("K")
     val sigma = in.int("K")
-    val nKindIds = FunctionKind.all.length
-    if (sigma != nKindIds) corrupt(s"K has sigma $sigma, expected $nKindIds")
+    if (sigma != FunctionKind.sigma) corrupt(s"K has sigma $sigma, expected ${FunctionKind.sigma}")
     val levels = Array.fill(WaveletTree.heightFor(sigma))(new BitVector(in.words(kLength, "K"), kLength))
     val k = new WaveletTree(kLength, sigma, levels)
     val nP = in.count("P")

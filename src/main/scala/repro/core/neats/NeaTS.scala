@@ -108,8 +108,7 @@ object NeaTS {
         var v = cur.start
         var violation = -1
         while (v < cur.end && violation < 0) {
-          val approx = math.floor(cur.eval(v) + 1e-9).toLong
-          if (math.abs((ys(v) + shift) - approx) > cur.eps) violation = v
+          if (math.abs((ys(v) + shift) - cur.approx(v)) > cur.eps) violation = v
           v += 1
         }
         if (violation < 0) { out += cur; doneWithPiece = true }

@@ -10,7 +10,7 @@ final case class Piece(start: Int, end: Int, kind: FunctionKind,
                        m: Double, b: Double, p3: Double,
                        eps: Long, corrBits: Int) {
   def length: Int = end - start
-  def eval(idx: Int): Double = kind.eval((idx + 1).toDouble, m, b, p3)
+  def approx(idx: Int): Long = kind.approx(idx, m, b, p3)
 }
 
 /** Algorithm 1: space-optimal partitioning of a time series into fragments,

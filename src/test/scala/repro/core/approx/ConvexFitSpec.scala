@@ -143,7 +143,7 @@ class ConvexFitSpec extends SparkSpec {
     val ys = Array.tabulate(200)(i => 5L * (i + 1) + 3)
     val fit = ConvexFit.longestFragment(ys, 0, 0, LinearKind, 0, new FeasibleRegion)
     (fit.start until fit.end).foreach { i =>
-      assert(math.floor(fit.eval(i) + 1e-9).toLong === ys(i))
+      assert(fit.kind.approx(i, fit.m, fit.b, fit.p3) === ys(i))
     }
     assert(fit.end === 200)
   }

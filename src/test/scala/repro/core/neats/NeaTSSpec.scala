@@ -1,6 +1,9 @@
 package repro.core.neats
 
 import java.util.Random
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.core.approx._
 import repro.data.TimeSeries
@@ -174,6 +177,47 @@ class NeaTSSpec extends SparkSpec {
     }
   }
 
+  test("decode returns the shared rule plus the stored correction for hand-made pieces of every kind") {
+    // Parameters the fitter does not emit: negative slopes, exponentials near
+    // 2^50, quadratics with a large constant term; shifts that wrap mod 2^64.
+    def params(kind: FunctionKind): Gen[(Double, Double, Double)] = kind match {
+      case LinearKind | RadicalKind => Gen.zip(Gen.choose(-1e6, 1e6), Gen.choose(-1e15, 1e15), Gen.const(0.0))
+      case ExponentialKind => Gen.zip(Gen.choose(-1e-3, 1e-3), Gen.choose(34.0, 34.65), Gen.const(0.0))
+      case QuadraticKind => Gen.zip(Gen.choose(-1e3, 1e3), Gen.choose(-1e6, 1e6), Gen.choose(-1e15, 1e15))
+    }
+    val piece = for {
+      kind <- Gen.oneOf(FunctionKind.all)
+      mbp <- params(kind)
+      len <- Gen.choose(1, 60)
+      eps <- Gen.oneOf(0L, 1L, 3L, 255L, (1L << 40) - 1)
+    } yield (kind, mbp, len, eps)
+    val cases = for {
+      specs <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, piece))
+      shift <- Gen.oneOf(Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(-1000L, 1000L))
+      seed <- Gen.long
+    } yield {
+      val starts = specs.scanLeft(0)(_ + _._3)
+      val pieces = specs.zip(starts).toVector.map { case ((kind, (m, b, p3), len, eps), start) =>
+        Piece(start, start + len, kind, m, b, p3, eps, Partitioner.corrBits(eps))
+      }
+      val rng = new Random(seed)
+      val ys = new Array[Long](starts.last)
+      for (p <- pieces; i <- p.start until p.end) ys(i) = p.approx(i) - shift + rng.nextLong(-p.eps, p.eps + 1)
+      (ys, shift, pieces)
+    }
+    val prop = Prop.forAllNoShrink(cases) { case (ys, shift, pieces) =>
+      val c = NeaTSCompressed.build(ys, shift, pieces)
+      val bad = ys.indices.find { i =>
+        val len = math.min(ys.length - i, 37)
+        c(i) != ys(i) || !c.range(i, len).sameElements(ys.slice(i, i + len))
+      }
+      Prop(c.decompressAll().sameElements(ys) && bad.isEmpty) :|
+        s"${pieces.length} pieces, n=${ys.length}, shift=$shift, first bad index ${bad.getOrElse(-1)}"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(20261019L)), prop)
+    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+  }
+
   test("serialization roundtrips") {
     val data = TimeSeries.dataset("US", 1500)
     val c = NeaTS.compress(data.longs)
@@ -236,8 +280,7 @@ class NeaTSSpec extends SparkSpec {
       val shift = NeaTS.shiftFor(data.longs, eps)
       pieces.foreach { p =>
         (p.start until p.end).foreach { i =>
-          val approx = math.floor(p.eval(i) + 1e-9).toLong
-          assert(math.abs(approx - (data.longs(i) + shift)) <= eps, s"piece at $i")
+          assert(math.abs(p.approx(i) - (data.longs(i) + shift)) <= eps, s"piece at $i")
         }
       }
     }
@@ -300,8 +343,7 @@ class NeaTSSpec extends SparkSpec {
     }
     repaired.foreach { p =>
       (p.start until p.end).foreach { i =>
-        val approx = math.floor(p.eval(i) + 1e-9).toLong
-        assert(math.abs(ys(i) - approx) <= p.eps)
+        assert(math.abs(ys(i) - p.approx(i)) <= p.eps)
       }
     }
   }
