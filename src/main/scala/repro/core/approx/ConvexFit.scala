@@ -1,5 +1,7 @@
 package repro.core.approx
 
+import scala.annotation.switch
+
 /** O'Rourke's feasibility polygon, generalised per Theorem 1 of the paper.
   *
   * Constraints `alpha_k <= t_k m + b <= omega_k` are the half-planes
@@ -181,33 +183,52 @@ object ConvexFit {
 
   /** Longest fragment starting at `start` that admits an eps-approximation of
     * `kind` over the (already shifted, strictly positive where needed) values
-    * `ys`. Optimal O(end - start) amortised, modulo the binary searches of
-    * `solve`.
+    * `ys`: [[fitEnd]], then one solve of the region it leaves. Optimal
+    * O(end - start) amortised, modulo the binary searches of `solve`.
     * `region` is cleared here, so one region's buffers serve every fragment.
     */
   def longestFragment(ys: Array[Long], shift: Long, start: Int, kind: FunctionKind, eps: Long,
                       region: FeasibleRegion): Fit = {
+    val end = fitEnd(ys, shift, start, kind, eps, region)
+    if (end == start) return Fit(start, start, kind, 0, 0, 0)
+    val (m, b) = region.solve()
+    Fit(start, end, kind, m, b, kind.param3(m, b, (start + 1).toDouble, (ys(start) + shift).toDouble))
+  }
+
+  /** The end of [[longestFragment]]'s fit, without solving for its
+    * parameters: the accepted constraints are left in `region`. `start` when
+    * the first point is out of the kind's domain. Algorithm 1 calls this for
+    * every fit of every chain and solves only the few on the shortest path.
+    *
+    * The kind is dispatched by id to each case object's own
+    * `constraintInto`, so the calls are static and inline into the loop; the
+    * `out` array stays local, where the JIT can keep it in registers.
+    */
+  def fitEnd(ys: Array[Long], shift: Long, start: Int, kind: FunctionKind, eps: Long,
+             region: FeasibleRegion): Int = {
     val n = ys.length
     require(start >= 0 && start < n, s"start $start out of [0, $n)")
+    val id = kind.id
     region.clear()
     val x0 = (start + 1).toDouble
     val y0 = (ys(start) + shift).toDouble
     val e = eps.toDouble
     val out = new Array[Double](3)
     var k = start
-    var done = false
-    while (k < n && !done) {
+    while (k < n) {
       val x = (k + 1).toDouble
       val y = (ys(k) + shift).toDouble
-      kind.constraintInto(x, y, e, x0, y0, out) match {
-        case FunctionKind.VacuousPoint => k += 1
-        case FunctionKind.OutOfDomainPoint =>
-          if (k == start) return Fit(start, start, kind, 0, 0, 0) else done = true
-        case _ =>
-          if (region.addPoint(out(0), out(1), out(2))) k += 1 else done = true
+      val r = (id: @switch) match {
+        case 0 => LinearKind.constraintInto(x, y, e, x0, y0, out)
+        case 1 => RadicalKind.constraintInto(x, y, e, x0, y0, out)
+        case 2 => ExponentialKind.constraintInto(x, y, e, x0, y0, out)
+        case 3 => QuadraticKind.constraintInto(x, y, e, x0, y0, out)
+        case _ => throw new IllegalArgumentException(s"unknown function kind id $id")
       }
+      if (r == FunctionKind.OutOfDomainPoint) return k
+      if (r == FunctionKind.Constrained && !region.addPoint(out(0), out(1), out(2))) return k
+      k += 1
     }
-    val (m, b) = region.solve()
-    Fit(start, k, kind, m, b, kind.param3(m, b, x0, y0))
+    k
   }
 }

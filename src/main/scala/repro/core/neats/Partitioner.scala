@@ -63,14 +63,23 @@ object Partitioner {
   /** DAG nodes per block of the pipelined chain fill (see [[Chains]]). */
   private[neats] final val BlockNodes = 1024
 
-  /** Algorithm 1 over the (pairKind(p), pairEps(p)) pairs. */
+  /** Algorithm 1 over the (pairKind(p), pairEps(p)) pairs.
+    *
+    * Each pair's live approximation is two ints, its start and end, taken
+    * from [[Chains]] at the node where the last one died. A node remembers
+    * the edge that reached it as the node it came from, the pair, and the
+    * start of the pair's fit that spans the edge; the path's pieces are then
+    * refitted from those starts, with the same `longestFragment` call the
+    * chain made, so their parameters are the chain fits' bit for bit.
+    */
   private[neats] def run(ys: Array[Long], shift: Long, pairKind: Array[FunctionKind],
                          pairEps: Array[Long], lossy: Boolean): Vector[Piece] = {
     val n = ys.length
     if (n == 0) return Vector.empty
     require(pairKind.nonEmpty, "need at least one (kind, eps) pair")
     val nP = pairKind.length
-    val live = new Array[Fit](nP)
+    val liveStart = new Array[Int](nP)
+    val liveEnd = new Array[Int](nP) // 0: every pair is refreshed at node 0
     val bitsPerPoint = pairEps.map(e => if (lossy) 0L else corrBits(e).toLong)
     val kap = pairKind.map(f => if (lossy) lossyBits(f) else kappa(f))
 
@@ -78,8 +87,8 @@ object Partitioner {
     val distance = Array.fill(n + 1)(Inf)
     distance(0) = 0L
     val prevNode = Array.fill(n + 1)(-1)
-    val prevFit = new Array[Fit](n + 1)
-    val prevEps = new Array[Long](n + 1)
+    val prevPair = new Array[Int](n + 1)
+    val prevStart = new Array[Int](n + 1)
 
     chains.start(math.min(n, BlockNodes))
     try {
@@ -89,33 +98,28 @@ object Partitioner {
           chains.await()
           if (k + BlockNodes < n) chains.start(math.min(n, k + 2 * BlockNodes))
         }
-        // Refresh dead approximations and relax prefix edges (i, k).
+        // Refresh dead approximations and relax prefix edges (i, k). An
+        // unreachable i has distance Inf, and Inf + w never wins.
+        var dk = distance(k)
         var p = 0
         while (p < nP) {
-          if (live(p) == null || live(p).end <= k) live(p) = chains.next(p)
-          val f = live(p)
-          val i = f.start
-          if (f.end > k && i < k && distance(i) < Inf) {
-            val w = (k - i).toLong * bitsPerPoint(p) + kap(p)
-            if (distance(k) > distance(i) + w) {
-              distance(k) = distance(i) + w
-              prevNode(k) = i; prevFit(k) = f; prevEps(k) = pairEps(p)
-            }
+          if (liveEnd(p) <= k) { liveStart(p) = k; liveEnd(p) = chains.next(p) }
+          val i = liveStart(p)
+          if (i < k) {
+            val d = distance(i) + (k - i).toLong * bitsPerPoint(p) + kap(p)
+            if (d < dk) { dk = d; prevNode(k) = i; prevPair(k) = p; prevStart(k) = i }
           }
           p += 1
         }
+        distance(k) = dk
         // Relax suffix edges (k, j).
-        if (distance(k) < Inf) {
+        if (dk < Inf) {
           p = 0
           while (p < nP) {
-            val f = live(p)
-            val j = f.end
-            if (j > k && f.start <= k) {
-              val w = (j - k).toLong * bitsPerPoint(p) + kap(p)
-              if (distance(j) > distance(k) + w) {
-                distance(j) = distance(k) + w
-                prevNode(j) = k; prevFit(j) = f; prevEps(j) = pairEps(p)
-              }
+            val j = liveEnd(p)
+            if (j > k) {
+              val d = dk + (j - k).toLong * bitsPerPoint(p) + kap(p)
+              if (d < distance(j)) { distance(j) = d; prevNode(j) = k; prevPair(j) = p; prevStart(j) = liveStart(p) }
             }
             p += 1
           }
@@ -126,17 +130,22 @@ object Partitioner {
     require(distance(n) < Inf,
       "node n unreachable — no (kind, eps) pair could cover some point; include LinearKind")
 
-    // Read the shortest path backwards into pieces.
-    val out = scala.collection.mutable.ArrayBuffer[Piece]()
-    var node = n
-    while (node != 0) {
-      val i = prevNode(node)
-      val f = prevFit(node)
-      val e = prevEps(node)
-      out += Piece(i, node, f.kind, f.m, f.b, f.p3, e, if (lossy) 0 else corrBits(e))
-      node = i
+    // Read the shortest path's nodes backwards, then refit its pieces. Each
+    // refit is as long as the chain fit it repeats, and they are independent,
+    // so they run in parallel: one after another, with few pairs (NeaTS-L's
+    // four), they took about as long as the whole fill.
+    val ends = Iterator.iterate(n)(prevNode(_)).takeWhile(_ != 0).toArray.reverse
+    val pieces = new Array[Piece](ends.length)
+    java.util.stream.IntStream.range(0, ends.length).parallel().forEach { q =>
+      val j = ends(q)
+      val p = prevPair(j)
+      val start = prevStart(j)
+      val e = pairEps(p)
+      val f = ConvexFit.longestFragment(ys, shift, start, pairKind(p), e, new FeasibleRegion)
+      require(f.end >= j, s"refit of ${pairKind(p)} eps=$e from $start ends at ${f.end} < $j")
+      pieces(q) = Piece(prevNode(j), j, f.kind, f.m, f.b, f.p3, e, if (lossy) 0 else corrBits(e))
     }
-    out.reverse.toVector
+    pieces.toVector
   }
 }
 
@@ -147,44 +156,45 @@ object Partitioner {
   * and its pair, so the chains are extended in parallel, a block of nodes
   * at a time, one fork-join task per pair (on the common pool when called
   * from outside a fork-join pool), each with its own region; each task makes
-  * the same `longestFragment` calls, with the same arguments, that the
-  * sequential relaxation would, so the partition does not depend on the
-  * scheduling.
+  * the same `fitEnd` calls, with the same arguments, that the sequential
+  * relaxation would, so the partition does not depend on the scheduling.
   *
-  * The fill is pipelined: `start` forks the tasks of the block after the
-  * one being relaxed into the other of two queue buffers, and `await` joins
-  * them when the relaxation reaches that block. A live fit is held by
-  * reference, so swapping buffers under it is safe. Fits queued or live at
-  * once: at most pairs x 2 (block + 1).
+  * A fit is queued as its end alone: its start is the node at which the
+  * relaxation takes it, and its parameters are solved only if it ends up on
+  * the shortest path. The fill is pipelined: `start` forks the tasks of the
+  * block after the one being relaxed into the other of two buffers of ends,
+  * and `await` joins them when the relaxation reaches that block. The
+  * relaxation copies each end it takes, so swapping buffers under a live fit
+  * is safe.
   */
 private final class Chains(ys: Array[Long], shift: Long,
                            kinds: Array[FunctionKind], eps: Array[Long]) {
-  private val buffers = Array.fill(2, kinds.length)(new Array[Fit](math.min(ys.length, Partitioner.BlockNodes)))
+  private val buffers = Array.fill(2, kinds.length)(new Array[Int](math.min(ys.length, Partitioner.BlockNodes)))
   private var started = 0 // blocks started; block b fills buffers(b % 2)
   private var pending: Array[Extend] = null // the started block's tasks until awaited
-  private var queue = buffers(0) // the awaited block's fits, which `next` reads
+  private var queue = buffers(0) // the awaited block's ends, which `next` reads
   private val taken = new Array[Int](kinds.length)
   private val nextStart = new Array[Int](kinds.length)
   private val regions = Array.fill(kinds.length)(new FeasibleRegion)
 
-  private final class Extend(p: Int, until: Int, out: Array[Fit]) extends java.util.concurrent.RecursiveAction {
+  private final class Extend(p: Int, until: Int, out: Array[Int]) extends java.util.concurrent.RecursiveAction {
     def compute(): Unit = {
       var start = nextStart(p)
       var q = 0
       while (start < until) {
-        val fit = ConvexFit.longestFragment(ys, shift, start, kinds(p), eps(p), regions(p))
-        out(q) = fit
+        val end = ConvexFit.fitEnd(ys, shift, start, kinds(p), eps(p), regions(p))
+        out(q) = end
         q += 1
-        start = math.max(fit.end, start + 1)
+        start = math.max(end, start + 1)
       }
       nextStart(p) = start
     }
   }
 
-  /** Forks the tasks that queue every pair's fits starting before node
-    * `until`. The previous block must have been awaited, and the one before
-    * it fully taken: its buffer is reused. Each task is forked on its own,
-    * so that `await` can run the ones no worker has taken yet.
+  /** Forks the tasks that queue the ends of every pair's fits starting
+    * before node `until`. The previous block must have been awaited, and the
+    * one before it fully taken: its buffer is reused. Each task is forked on
+    * its own, so that `await` can run the ones no worker has taken yet.
     */
   def start(until: Int): Unit = {
     val buf = buffers(started % 2)
@@ -193,8 +203,8 @@ private final class Chains(ys: Array[Long], shift: Long,
     started += 1
   }
 
-  /** Joins the started block, latest fork first, and makes its fits the ones
-    * `next` returns. Every task is joined before the first failure is
+  /** Joins the started block, latest fork first, and makes its ends the
+    * ones `next` returns. Every task is joined before the first failure is
     * rethrown, so none is left running.
     */
   def await(): Unit = {
@@ -218,8 +228,10 @@ private final class Chains(ys: Array[Long], shift: Long,
     pending = null
   }
 
-  /** Pair p's next fit: the one starting at the node being relaxed. */
-  def next(p: Int): Fit = {
+  /** The end of pair p's next fit: the one starting at the node being
+    * relaxed.
+    */
+  def next(p: Int): Int = {
     taken(p) += 1
     queue(p)(taken(p) - 1)
   }

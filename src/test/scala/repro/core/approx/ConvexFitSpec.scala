@@ -1,7 +1,12 @@
 package repro.core.approx
 
 import java.util.Random
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
+import repro.core.neats.NeaTS
+import repro.data.TimeSeries
 
 /** Independent slow reference: Sutherland-Hodgman polygon clipping of the
   * feasible (m, b) region, used to cross-validate the incremental
@@ -58,6 +63,61 @@ object SlowFeasibility {
 }
 
 class ConvexFitSpec extends SparkSpec {
+
+  /** The point loop through each kind's own (virtual) `constraintInto`,
+    * without `fitEnd`'s dispatch by id: the end `fitEnd` must return.
+    */
+  private def referenceEnd(ys: Array[Long], shift: Long, start: Int, kind: FunctionKind, eps: Long): Int = {
+    val region = new FeasibleRegion
+    val (x0, y0) = ((start + 1).toDouble, (ys(start) + shift).toDouble)
+    val out = new Array[Double](3)
+    var k = start
+    while (k < ys.length) {
+      kind.constraintInto((k + 1).toDouble, (ys(k) + shift).toDouble, eps.toDouble, x0, y0, out) match {
+        case FunctionKind.OutOfDomainPoint => return k
+        case FunctionKind.Constrained if !region.addPoint(out(0), out(1), out(2)) => return k
+        case _ => k += 1
+      }
+    }
+    k
+  }
+
+  test("fitEnd agrees with longestFragment at random starts of analogue windows, plain and lifted by 2^30") {
+    // Lifted windows are fitted with no shift, at 2^30, where rounding makes
+    // the marginal acceptances that plain windows rarely reach.
+    val windows = for {
+      name <- Gen.oneOf(TimeSeries.names)
+      from <- Gen.choose(0, 2000)
+      n <- Gen.choose(1, 1500)
+      lifted <- Gen.oneOf(false, true)
+    } yield {
+      val ys = TimeSeries.dataset(name, from + n).longs.drop(from)
+      if (lifted) (s"$name+2^30", ys.map(_ + (1L << 30)), 0L)
+      else (name, ys, NeaTS.shiftFor(ys, NeaTS.epsGrid(ys).max))
+    }
+    val cases = for { w <- windows; starts <- Gen.listOfN(4, Gen.choose(0, w._2.length - 1)) } yield (w, starts)
+    val prop = Prop.forAllNoShrink(cases) { case ((name, ys, shift), starts) =>
+      val region = new FeasibleRegion
+      val wrong = for {
+        kind <- FunctionKind.all; eps <- NeaTS.epsGrid(ys); start <- starts
+        end = ConvexFit.fitEnd(ys, shift, start, kind, eps, region)
+        want = referenceEnd(ys, shift, start, kind, eps)
+        fit = ConvexFit.longestFragment(ys, shift, start, kind, eps, region)
+        if end != want || fit.end != end
+      } yield s"$kind eps=$eps from $start: fitEnd $end, reference $want, longestFragment ${fit.end}"
+      Prop(wrong.isEmpty) :| s"$name n=${ys.length}: ${wrong.take(3).mkString("; ")}"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20261020L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+  }
+
+  test("an exponential start with y - eps <= 0 ends where it starts") {
+    val ys = Array[Long](10, 9, 8, 2, 10, 12)
+    assert(ConvexFit.fitEnd(ys, 0, 3, ExponentialKind, 2, new FeasibleRegion) === 3)
+    assert(ConvexFit.longestFragment(ys, 0, 3, ExponentialKind, 2, new FeasibleRegion) ===
+      Fit(3, 3, ExponentialKind, 0, 0, 0))
+  }
 
   private def checkValid(ys: Array[Long], shift: Long, kind: FunctionKind, eps: Long,
                          start: Int = 0): Fit = {
