@@ -46,11 +46,24 @@ final class BitWriter(initialWords: Int = 16) {
   def words: Array[Long] = java.util.Arrays.copyOf(buf, ((bitLen + 63) >>> 6).toInt)
 }
 
-/** Random-access reader over bits packed by [[BitWriter]]. */
+/** Random-access reader over bits packed by [[BitWriter]]; the reads are
+  * the static kernels of the companion.
+  */
 final class BitReader(val words: Array[Long], val lengthInBits: Long) {
 
   /** Read `width` bits starting at bit offset `pos` (unsigned). */
-  def get(pos: Long, width: Int): Long = {
+  def get(pos: Long, width: Int): Long = BitReader.get(words, pos, width)
+
+  /** Read `width` bits at `pos` as a signed (two's complement) value. */
+  def getSigned(pos: Long, width: Int): Long = BitReader.getSigned(words, pos, width)
+
+  def getBit(pos: Long): Boolean = ((words((pos >>> 6).toInt) >>> (pos & 63).toInt) & 1L) != 0
+}
+
+object BitReader {
+
+  /** The `width` bits of `words` at bit offset `pos` (unsigned). */
+  private[repro] def get(words: Array[Long], pos: Long, width: Int): Long = {
     if (width < 0 || width > 64) Check.fail(s"bad width $width")
     if (width == 0) return 0L
     val wordIdx = (pos >>> 6).toInt
@@ -60,13 +73,11 @@ final class BitReader(val words: Array[Long], val lengthInBits: Long) {
     if (width == 64) v else v & ((1L << width) - 1)
   }
 
-  /** Read `width` bits at `pos` as a signed (two's complement) value. */
-  def getSigned(pos: Long, width: Int): Long = {
+  /** The `width` bits of `words` at `pos` as a signed (two's complement) value. */
+  private[repro] def getSigned(words: Array[Long], pos: Long, width: Int): Long = {
     if (width == 0) return 0L
-    val raw = get(pos, width)
+    val raw = get(words, pos, width)
     val shift = 64 - width
     (raw << shift) >> shift
   }
-
-  def getBit(pos: Long): Boolean = ((words((pos >>> 6).toInt) >>> (pos & 63).toInt) & 1L) != 0
 }

@@ -6,7 +6,9 @@ package repro.core.bits
   * answer `rank(sym, i)` — occurrences of `sym` in K[0, i) — in
   * O(log sigma) time, as required to locate a fragment's parameters in
   * the per-kind parameter arrays P_f. [[inverseSelect]] gives a
-  * fragment's kind and that rank together, from one descent.
+  * fragment's kind and that rank together, from one descent; for K's
+  * alphabet (sigma = 4) the descent is a static kernel of the companion
+  * over the two levels' words and counters.
   */
 final class WaveletTree private[repro] (
     val length: Int,
@@ -27,10 +29,15 @@ final class WaveletTree private[repro] (
     * [0, i) in the low 32 bits, from one descent: the position reached in
     * the leaf is that rank.
     */
-  def inverseSelect(i: Int): Long = {
-    if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
-    descend(i, -1)
-  }
+  def inverseSelect(i: Int): Long =
+    if (sigma == 4) {
+      val l0 = levels(0)
+      val l1 = levels(1)
+      WaveletTree.inverseSelect(length, l0.words, l0.blockRank, l0.countOnes, l1.words, l1.blockRank, i)
+    } else {
+      if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
+      descend(i, -1)
+    }
 
   /** Descends from the root with position i, toward the leaf of `sym`, or
     * along the bits at the position when `sym` is negative; returns the
@@ -74,6 +81,27 @@ object WaveletTree {
   /** Levels of the tree over [0, sigma): ceil(log2 sigma), at least 1. */
   private[repro] def heightFor(sigma: Int): Int =
     math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(1, sigma - 1)))
+
+  /** [[WaveletTree.inverseSelect]] for sigma = 4, the tree of K: two levels
+    * of `length` bits, (`words0`, `ranks0`) with `ones0` set bits and
+    * (`words1`, `ranks1`). The root sends a symbol to [0, 2) or [2, 4); at
+    * level 1, the node [0, 2) starts at 0 and [2, 4) at the zeros of level
+    * 0, and both children are leaves.
+    */
+  private[repro] def inverseSelect(length: Int, words0: Array[Long], ranks0: Array[Long], ones0: Long,
+                                   words1: Array[Long], ranks1: Array[Long], i: Int): Long = {
+    if (i < 0 || i >= length) Check.fail(s"index $i out of [0, $length)")
+    val n = length.toLong
+    val right0 = BitVector.get(words0, n, i)
+    val ones = BitVector.rank1(words0, ranks0, n, i)
+    val offset = if (right0) n - ones0 else 0L
+    val pos = if (right0) ones else i - ones
+    val onesAtOffset = if (offset == 0) 0L else BitVector.rank1(words1, ranks1, n, offset)
+    val onesBefore = BitVector.rank1(words1, ranks1, n, offset + pos) - onesAtOffset
+    val right1 = BitVector.get(words1, n, offset + pos)
+    val sym = (if (right0) 2L else 0L) + (if (right1) 1L else 0L)
+    (sym << 32) | (if (right1) onesBefore else pos - onesBefore)
+  }
 
   def apply(symbols: Array[Int], sigma: Int): WaveletTree = {
     require(symbols.forall(s => s >= 0 && s < sigma), "symbol out of range")

@@ -21,6 +21,15 @@ import repro.core.bits._
   * their superblock counters, O(log m), and S's bucket scan passes the few
   * starts that share the index's high bits; every other step is O(1) for
   * the fixed alphabet of kinds.
+  *
+  * A lookup reads the word arrays, superblock counters and scalars of S,
+  * B, O, C and K's two levels from fields of its own and calls the
+  * structures' static kernels on them ([[EliasFano.predecessor]],
+  * [[WaveletTree.inverseSelect]], [[FixedWidthArray.get]],
+  * [[EliasFano.get]], [[BitReader.getSigned]]), so that no call loads a
+  * structure object, its bitvector and then its words in turn. They are
+  * the structures' own arrays, so `sizeInBits` and the blob are unchanged,
+  * and the structures' methods, which `range` calls, run the same kernels.
   */
 final class NeaTSCompressed(
     val n: Int,
@@ -32,23 +41,62 @@ final class NeaTSCompressed(
     val k: WaveletTree,        // kinds, length m
     val p: Array[Array[Double]], // per-kind-id parameter arrays
 ) {
+  require(k.sigma == 4, s"K has sigma ${k.sigma}; the read path descends a tree over 4 kinds")
+
   def numFragments: Int = s.length
+
+  private[this] val sHigh = s.highs.words
+  private[this] val sHighRanks = s.highs.blockRank
+  private[this] val sHighLength = s.highs.length
+  private[this] val sLow = s.lows.words
+  private[this] val sLowBits = s.lowBits
+  private[this] val sLength = s.length
+  private[this] val sFirst = s.firstValue
+  private[this] val sLast = s.lastValue
+  private[this] val bWords = b.words
+  private[this] val bWidth = b.width
+  private[this] val bLength = b.length
+  private[this] val oHigh = o.highs.words
+  private[this] val oHighRanks = o.highs.blockRank
+  private[this] val oHighLength = o.highs.length
+  private[this] val oLow = o.lows.words
+  private[this] val oLowBits = o.lowBits
+  private[this] val oLength = o.length
+  private[this] val cWords = c.words
+  private[this] val kLength = k.length
+  private[this] val k0 = k.levels(0).words
+  private[this] val k0Ranks = k.levels(0).blockRank
+  private[this] val k0Ones = k.levels(0).countOnes
+  private[this] val k1 = k.levels(1).words
+  private[this] val k1Ranks = k.levels(1).blockRank
+
+  /** (start << 32) | (fragment + 1) of the fragment holding idx: S.predecessor. */
+  private def fragmentOf(idx: Int): Long =
+    EliasFano.predecessor(sHigh, sHighRanks, sHighLength, sLow, sLowBits, sLength, sFirst, sLast, idx)
+
+  /** (kind id << 32) | rank_kind(frag): one descent of K. */
+  private def kindOf(frag: Int): Long =
+    WaveletTree.inverseSelect(kLength, k0, k0Ranks, k0Ones, k1, k1Ranks, frag)
+
+  private def widthOf(frag: Int): Int = FixedWidthArray.get(bWords, bWidth, bLength, frag).toInt
+
+  private def offsetOf(frag: Int): Long = EliasFano.get(oHigh, oHighRanks, oHighLength, oLow, oLowBits, oLength, frag)
 
   /** Algorithm 3: value at 0-based index idx. Allocation-free. */
   def apply(idx: Int): Long = {
     if (idx < 0 || idx >= n) Check.fail(s"index $idx out of [0, $n)")
-    val pred = s.predecessor(idx) // (start << 32) | (frag + 1)
+    val pred = fragmentOf(idx)
     val frag = pred.toInt - 1
-    val kindRank = k.inverseSelect(frag) // (kindId << 32) | rank
+    val kindRank = kindOf(frag)
     val kindId = (kindRank >>> 32).toInt
     val kind = FunctionKind.byId(kindId)
     val pf = p(kindId)
     val base = kindRank.toInt * kind.nParams
     val p3 = if (kind.nParams == 3) pf(base + 2) else 0.0
-    val width = b(frag).toInt
+    val width = widthOf(frag)
     val corr =
       if (width == 0) 0L
-      else c.getSigned(o(frag) + (idx - (pred >>> 32)) * width.toLong, width)
+      else BitReader.getSigned(cWords, offsetOf(frag) + (idx - (pred >>> 32)) * width.toLong, width)
     kind.approx(idx, pf(base), pf(base + 1), p3) + corr - shift
   }
 

@@ -130,24 +130,27 @@ class NeaTSSpec extends SparkSpec {
   test("random access and full decoding allocate nothing beyond the output") {
     val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     val data = TimeSeries.dataset("ECG", 100000)
-    val c = NeaTS.compress(data.longs)
+    val built = NeaTS.compress(data.longs)
     val rng = new Random(21)
     val idx = Array.fill(1 << 16)(rng.nextInt(data.n))
     var sink = 0L
-    def lookupBytes(calls: Int): Long = {
+    // the reloaded copy holds the read path's arrays from the blob's words
+    for ((what, c) <- Seq("built" -> built, "reloaded" -> NeaTSCompressed.fromBytes(built.toBytes))) {
+      def lookupBytes(calls: Int): Long = {
+        val before = mx.getCurrentThreadAllocatedBytes
+        var i = 0
+        while (i < calls) { sink ^= c(idx(i & (idx.length - 1))); i += 1 }
+        mx.getCurrentThreadAllocatedBytes - before
+      }
+      lookupBytes(2000000) // warm-up
+      val perCall = lookupBytes(1000000) / 1e6
+      assert(perCall < 1.0, s"$what: $perCall B per apply")
+      c.decompressAll()
       val before = mx.getCurrentThreadAllocatedBytes
-      var i = 0
-      while (i < calls) { sink ^= c(idx(i & (idx.length - 1))); i += 1 }
-      mx.getCurrentThreadAllocatedBytes - before
+      sink ^= c.decompressAll()(0)
+      val decodeBytes = mx.getCurrentThreadAllocatedBytes - before
+      assert(decodeBytes <= 16L + 8L * data.n, s"$what: $decodeBytes B for a ${8L * data.n} B output")
     }
-    lookupBytes(2000000) // warm-up
-    val perCall = lookupBytes(1000000) / 1e6
-    assert(perCall < 1.0, s"$perCall B per apply")
-    c.decompressAll()
-    val before = mx.getCurrentThreadAllocatedBytes
-    sink ^= c.decompressAll()(0)
-    val decodeBytes = mx.getCurrentThreadAllocatedBytes - before
-    assert(decodeBytes <= 16L + 8L * data.n, s"$decodeBytes B for a ${8L * data.n} B output")
   }
 
   test("range scans agree with full decompression") {
