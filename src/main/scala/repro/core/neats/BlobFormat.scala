@@ -5,9 +5,10 @@ import java.util.zip.CRC32C
 import repro.core.approx.FunctionKind
 import repro.core.bits.{BitReader, BitVector, EliasFano, FixedWidthArray, WaveletTree}
 
-/** A blob that is not a well-formed NeaTS blob: wrong magic or version, a
-  * length or checksum that does not match, or structures whose lengths
-  * disagree.
+/** A blob or a table index that is not well formed. For a blob: wrong magic
+  * or version, a length or checksum that does not match, or structures whose
+  * lengths disagree. For a `NeaTSFiles` table: an index whose groups do not
+  * tile the series, or a group blob that does not hold its group's count.
   */
 final class CorruptBlobException(message: String) extends RuntimeException(message)
 

@@ -8,16 +8,41 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.sources
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import repro.core.neats.{NeaTS, NeaTSCompressed}
+import repro.core.neats.{CorruptBlobException, NeaTS, NeaTSCompressed}
 
 /** File layout of a NeaTS-compressed table: a directory with one blob file
   * per row group plus a `meta` index (group start, count, file name) — the
-  * moral equivalent of Parquet row groups with a footer.
+  * moral equivalent of Parquet row groups with a footer. Each row group is
+  * encoded on its own, by [[write]].
   */
 object NeaTSFiles {
-  final case class Group(start: Long, count: Int, file: String)
+
+  /** One row group: the `count` rows of the series from index `start`, in one blob. */
+  final case class Group(start: Long, count: Int, file: String) {
+
+    /** Offsets [from, until) into this group of the rows whose index lies in
+      * the inclusive range [lo, hi]; from == until when there are none.
+      */
+    private def slice(lo: Long, hi: Long): (Int, Int) = {
+      val first = math.max(lo, start)
+      val last = math.min(hi, start + count - 1)
+      if (first > last) (0, 0) else ((first - start).toInt, (last - start).toInt + 1)
+    }
+
+    def overlaps(lo: Long, hi: Long): Boolean = { val (from, until) = slice(lo, hi); from < until }
+
+    /** The index of the first row in [lo, hi] and the values of those rows,
+      * decoded from the table at `path` by one `range` (one rank, then
+      * sequential decoding).
+      */
+    def read(path: String, lo: Long, hi: Long): (Long, Array[Long]) = {
+      val (from, until) = slice(lo, hi)
+      (start + from, readGroup(path, this).range(from, until - from))
+    }
+  }
 
   def write(path: String, values: Array[Long], groupSize: Int = 8192): Unit = {
+    require(groupSize > 0, s"groupSize must be positive, got $groupSize")
     val dir = new java.io.File(path)
     dir.mkdirs()
     val meta = new StringBuilder
@@ -37,20 +62,44 @@ object NeaTSFiles {
       meta.toString.getBytes("UTF-8"))
   }
 
+  /** The series length and the row groups of the table at `path`. The index
+    * must be a header `n groupSize` and then one `start count file` line per
+    * group, with positive counts, whose groups tile [0, n) in order;
+    * anything else is a [[CorruptBlobException]].
+    */
   def readMeta(path: String): (Long, Seq[Group]) = {
     val lines = new String(java.nio.file.Files.readAllBytes(
       new java.io.File(path, "meta").toPath), "UTF-8").linesIterator.toSeq
-    val n = lines.head.split(" ")(0).toLong
-    val groups = lines.tail.filter(_.nonEmpty).map { l =>
-      val parts = l.split(" ")
-      Group(parts(0).toLong, parts(1).toInt, parts(2))
+    def corrupt(why: String) = throw new CorruptBlobException(s"$path/meta: $why")
+    def fields(line: String, arity: Int): Array[String] = {
+      val parts = line.split(" ")
+      if (parts.length != arity || parts.take(2).exists(f => f.toLongOption.isEmpty))
+        corrupt(s"expected $arity fields, the first two numbers: '$line'")
+      parts
     }
+    if (lines.isEmpty) corrupt("empty index")
+    val n = fields(lines.head, 2)(0).toLong
+    var end = 0L
+    val groups = lines.tail.map { l =>
+      val Array(start, count, file) = fields(l, 3)
+      val g = Group(start.toLong, count.toIntOption.getOrElse(0), file)
+      if (g.count <= 0) corrupt(s"group count must be a positive int: '$l'")
+      if (g.start != end) corrupt(s"group starts at ${g.start}, the previous one ends at $end: '$l'")
+      end = g.start + g.count
+      g
+    }
+    if (end != n) corrupt(s"groups cover [0, $end) of a series of $n values")
     (n, groups)
   }
 
-  def readGroup(path: String, g: Group): NeaTSCompressed =
-    NeaTSCompressed.fromBytes(java.nio.file.Files.readAllBytes(
+  /** The blob of group `g`; it must hold exactly `g.count` values. */
+  def readGroup(path: String, g: Group): NeaTSCompressed = {
+    val blob = NeaTSCompressed.fromBytes(java.nio.file.Files.readAllBytes(
       new java.io.File(path, g.file).toPath))
+    if (blob.n != g.count)
+      throw new CorruptBlobException(s"$path/${g.file} holds ${blob.n} values, the index says ${g.count}")
+    blob
+  }
 }
 
 /** DataSourceV2 provider: `spark.read.format("repro.sparkts.NeaTSDataSource")
@@ -128,7 +177,7 @@ class NeaTSScan(path: String, lo: Long, hi: Long) extends Scan with Batch {
   override def planInputPartitions(): Array[InputPartition] = {
     val (_, groups) = NeaTSFiles.readMeta(path)
     groups
-      .filter(g => RowGroup(g.start, g.count).overlaps(lo, hi))
+      .filter(_.overlaps(lo, hi))
       .map(g => NeaTSInputPartition(path, g, lo, hi): InputPartition)
       .toArray
   }
@@ -147,11 +196,10 @@ class NeaTSReaderFactory extends PartitionReaderFactory {
 }
 
 /** Decodes one row group, restricted to the pushed [lo, hi] index range,
-  * through [[RowGroup.read]].
+  * through [[NeaTSFiles.Group.read]].
   */
 class NeaTSPartitionReader(p: NeaTSInputPartition) extends PartitionReader[InternalRow] {
-  private val (first, values) =
-    RowGroup(p.group.start, p.group.count).read(NeaTSFiles.readGroup(p.path, p.group), p.lo, p.hi)
+  private val (first, values) = p.group.read(p.path, p.lo, p.hi)
   private var i = -1
 
   override def next(): Boolean = { i += 1; i < values.length }

@@ -1,137 +1,77 @@
 package repro.sparkts
 
+import java.io.File
+import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.sources
 import repro.{Oracle, SparkSpec}
+import repro.core.neats.CorruptBlobException
 import repro.data.TimeSeries
-
-class NeaTSCodecSpec extends SparkSpec {
-  import spark.implicits._
-
-  private def tsDF(name: String, n: Int) = {
-    val ds = TimeSeries.dataset(name, n)
-    ds.longs.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq.toDF("idx", "value")
-  }
-
-  test("encode/decode roundtrip through Spark row groups") {
-    val df = tsDF("IT", 10000)
-    val enc = NeaTSCodec.encode(df, groupSize = 2048)
-    val dec = NeaTSCodec.decode(enc)
-    assert(dec.count() === 10000)
-    val orig = df.orderBy("idx").collect().map(r => (r.getLong(0), r.getLong(1)))
-    val back = dec.orderBy("idx").collect().map(r => (r.getLong(0), r.getLong(1)))
-    assert(back.toSeq === orig.toSeq)
-  }
-
-  test("row groups actually compress") {
-    val df = tsDF("US", 20000)
-    val enc = NeaTSCodec.encode(df, groupSize = 4096)
-    val compressedBytes = enc.select(sum(length($"blob"))).as[Long].head()
-    assert(compressedBytes < 20000L * 8, s"compressed $compressedBytes >= raw ${20000 * 8}")
-  }
-
-  test("range query decodes only the overlapping slice, matches full decode") {
-    val df = tsDF("ECG", 12000)
-    val enc = NeaTSCodec.encode(df, groupSize = 2048).cache()
-    val full = NeaTSCodec.decode(enc).orderBy("idx").collect().map(_.getLong(1))
-    for ((from, until) <- Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L),
-                              (3000L, 3000L), (2048L, 2049L), (4095L, 4096L))) {
-      val got = NeaTSCodec.rangeQuery(enc, from, until).orderBy("idx").collect()
-      assert(got.length === (until - from).toInt)
-      got.foreach { r =>
-        assert(r.getLong(1) === full(r.getLong(0).toInt), s"at ${r.getLong(0)}")
-      }
-    }
-    enc.unpersist()
-  }
-
-  test("point query via Algorithm 3") {
-    val df = tsDF("WD", 8000)
-    val enc = NeaTSCodec.encode(df, groupSize = 1024).cache()
-    val full = NeaTSCodec.decode(enc).orderBy("idx").collect().map(_.getLong(1))
-    val rng = new java.util.Random(50)
-    (0 until 20).foreach { _ =>
-      val i = rng.nextInt(8000)
-      assert(NeaTSCodec.pointQuery(enc, i.toLong) === Some(full(i)))
-    }
-    enc.unpersist()
-  }
-
-  test("rangeQuery and the DataSource return identical rows") {
-    val ds = TimeSeries.dataset("LAT", 5000)
-    val dir = java.nio.file.Files.createTempDirectory("neats-LAT").toString
-    NeaTSFiles.write(dir, ds.longs, 1024)
-    val table = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    val enc = NeaTSCodec.encode(tsDF("LAT", 5000), groupSize = 1024).cache()
-    for ((from, until) <- Seq((0L, 5000L), (1023L, 1025L), (2048L, 2048L), (3000L, 4100L), (4999L, 5000L))) {
-      val viaCodec = NeaTSCodec.rangeQuery(enc, from, until).orderBy("idx").collect().toSeq
-      val viaTable = table.where($"idx" >= from && $"idx" < until).orderBy("idx").collect().toSeq
-      assert(viaCodec.length === (until - from).toInt, s"[$from, $until)")
-      assert(viaCodec === viaTable, s"[$from, $until)")
-    }
-    enc.unpersist()
-  }
-
-  test("oracle: range aggregates over decoded data match DuckDB on the raw table") {
-    val df = tsDF("AP", 6000).cache()
-    val enc = NeaTSCodec.encode(df, groupSize = 1024)
-    val dec = NeaTSCodec.decode(enc)
-    val agg = dec.where($"idx" >= 1000 && $"idx" < 4000)
-      .agg(
-        sum($"value").cast("double").as("total"),
-        count($"idx").cast("long").as("cnt"),
-        min($"value").cast("long").as("mn"),
-        max($"value").cast("long").as("mx"),
-      )
-    Oracle.assertEquivalent(
-      agg,
-      """SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
-        |       COUNT(idx) AS cnt,
-        |       MIN(CAST(value AS BIGINT)) AS mn,
-        |       MAX(CAST(value AS BIGINT)) AS mx
-        |FROM ts WHERE CAST(idx AS BIGINT) >= 1000 AND CAST(idx AS BIGINT) < 4000""".stripMargin,
-      "ts" -> df,
-    )
-    df.unpersist()
-  }
-}
 
 class NeaTSDataSourceSpec extends SparkSpec {
   import spark.implicits._
 
-  private def writeTable(name: String, n: Int, groupSize: Int): (String, Array[Long]) = {
-    val ds = TimeSeries.dataset(name, n)
-    val dir = java.nio.file.Files.createTempDirectory(s"neats-$name").toString
-    NeaTSFiles.write(dir, ds.longs, groupSize)
-    (dir, ds.longs)
+  private val dirs = collection.mutable.Buffer.empty[File]
+
+  override def afterAll(): Unit = {
+    dirs.foreach { d => Option(d.listFiles()).foreach(_.foreach(_.delete())); d.delete() }
+    super.afterAll()
   }
 
+  private def writeTable(name: String, n: Int, groupSize: Int): (String, Array[Long]) = {
+    val ds = TimeSeries.dataset(name, n)
+    val dir = Files.createTempDirectory(s"neats-$name").toFile
+    dirs += dir
+    NeaTSFiles.write(dir.getPath, ds.longs, groupSize)
+    (dir.getPath, ds.longs)
+  }
+
+  private def load(dir: String) = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
+
+  private def pairs(rows: Array[org.apache.spark.sql.Row]): Seq[(Long, Long)] =
+    rows.toSeq.map(r => (r.getLong(0), r.getLong(1)))
+
+  private def raw(values: Array[Long]) =
+    values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq.toDF("idx", "value")
+
   test("full scan equals the original series") {
-    val (dir, values) = writeTable("UK", 9000, 2048)
-    val df = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    val got = df.orderBy("idx").collect().map(_.getLong(1))
-    assert(got.toSeq === values.toSeq)
+    for ((name, n, groupSize) <- Seq(("UK", 9000, 2048), ("IT", 10000, 2048))) {
+      val (dir, values) = writeTable(name, n, groupSize)
+      val got = pairs(load(dir).orderBy("idx").collect())
+      assert(got === values.toSeq.zipWithIndex.map { case (v, i) => (i.toLong, v) }, name)
+    }
+  }
+
+  test("row groups actually compress") {
+    val (dir, _) = writeTable("US", 20000, 4096)
+    val (_, groups) = NeaTSFiles.readMeta(dir)
+    val compressedBytes = groups.map(g => new File(dir, g.file).length).sum
+    assert(compressedBytes < 20000L * 8, s"compressed $compressedBytes >= raw ${20000 * 8}")
   }
 
   test("idx range filters are pushed down and return exact slices") {
-    val (dir, values) = writeTable("GE", 9000, 1024)
-    val df = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    for ((lo, hi) <- Seq((0L, 50L), (1000L, 1030L), (1020L, 5100L), (8990L, 9000L))) {
-      val got = df.where($"idx" >= lo && $"idx" < hi).orderBy("idx").collect()
-      assert(got.length === (hi - lo).toInt, s"[$lo, $hi)")
-      got.zipWithIndex.foreach { case (r, j) =>
-        assert(r.getLong(0) === lo + j)
-        assert(r.getLong(1) === values((lo + j).toInt))
+    val tables = Seq(
+      ("GE", 9000, 1024, Seq((0L, 50L), (1000L, 1030L), (1020L, 5100L), (8990L, 9000L))),
+      ("ECG", 12000, 2048, Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L),
+                               (3000L, 3000L), (2048L, 2049L), (4095L, 4096L))),
+      ("LAT", 5000, 1024, Seq((0L, 5000L), (1023L, 1025L), (2048L, 2048L), (3000L, 4100L), (4999L, 5000L))),
+    )
+    for ((name, n, groupSize, ranges) <- tables) {
+      val (dir, values) = writeTable(name, n, groupSize)
+      val df = load(dir)
+      for ((lo, hi) <- ranges) {
+        val got = pairs(df.where($"idx" >= lo && $"idx" < hi).orderBy("idx").collect())
+        assert(got === (lo until hi).map(i => (i, values(i.toInt))), s"$name [$lo, $hi)")
       }
+      // `v + 1` and `v - 1` at the ends of Long must not wrap into "every row".
+      for (none <- Seq(sources.GreaterThan("idx", Long.MaxValue), sources.LessThan("idx", Long.MinValue))) {
+        val builder = new NeaTSScanBuilder(dir)
+        builder.pushFilters(Array(none))
+        assert(builder.build().toBatch.planInputPartitions().isEmpty, s"$name $none")
+      }
+      assert(df.where($"idx" > Long.MaxValue).count() === 0)
+      assert(df.where($"idx" < Long.MinValue).count() === 0)
     }
-    // `v + 1` and `v - 1` at the ends of Long must not wrap into "every row".
-    for (none <- Seq(sources.GreaterThan("idx", Long.MaxValue), sources.LessThan("idx", Long.MinValue))) {
-      val builder = new NeaTSScanBuilder(dir)
-      builder.pushFilters(Array(none))
-      assert(builder.build().toBatch.planInputPartitions().isEmpty, s"$none")
-    }
-    assert(df.where($"idx" > Long.MaxValue).count() === 0)
-    assert(df.where($"idx" < Long.MinValue).count() === 0)
   }
 
   test("pushdown prunes row groups (scan plan reads fewer partitions)") {
@@ -145,45 +85,106 @@ class NeaTSDataSourceSpec extends SparkSpec {
   }
 
   test("equality filter returns the single row") {
-    val (dir, values) = writeTable("CT", 4096, 512)
-    val df = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    val row = df.where($"idx" === 1234L).collect()
-    assert(row.length === 1)
-    assert(row(0).getLong(1) === values(1234))
+    val rng = new java.util.Random(50)
+    for ((name, n, groupSize, lookups) <- Seq(("CT", 4096, 512, Seq(1234)),
+                                              ("WD", 8000, 1024, Seq.fill(20)(rng.nextInt(8000))))) {
+      val (dir, values) = writeTable(name, n, groupSize)
+      val df = load(dir)
+      for (i <- lookups)
+        assert(pairs(df.where($"idx" === i.toLong).collect()) === Seq((i.toLong, values(i))), s"$name idx $i")
+    }
   }
 
   test("oracle: SQL aggregates over the NeaTS table match DuckDB on raw values") {
-    val (dir, values) = writeTable("DU", 5000, 1000)
-    val df = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    val raw = values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq.toDF("idx", "value")
-    val agg = df.where($"idx" >= 500 && $"idx" < 3500)
-      .agg(
-        sum($"value").cast("double").as("total"),
-        avg($"value").cast("double").as("mean"),
-        count(lit(1)).cast("long").as("cnt"),
+    for ((name, n, groupSize, lo, hi) <- Seq(("DU", 5000, 1000, 500, 3500), ("AP", 6000, 1024, 1000, 4000))) {
+      val (dir, values) = writeTable(name, n, groupSize)
+      val agg = load(dir).where($"idx" >= lo && $"idx" < hi)
+        .agg(
+          sum($"value").cast("double").as("total"),
+          avg($"value").cast("double").as("mean"),
+          count(lit(1)).cast("long").as("cnt"),
+          count($"idx").cast("long").as("cnt_idx"),
+          min($"value").cast("long").as("mn"),
+          max($"value").cast("long").as("mx"),
+        )
+      Oracle.assertEquivalent(
+        agg,
+        s"""SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
+           |       CAST(AVG(CAST(value AS BIGINT)) AS DOUBLE) AS mean,
+           |       COUNT(*) AS cnt,
+           |       COUNT(idx) AS cnt_idx,
+           |       MIN(CAST(value AS BIGINT)) AS mn,
+           |       MAX(CAST(value AS BIGINT)) AS mx
+           |FROM ts WHERE CAST(idx AS BIGINT) >= $lo AND CAST(idx AS BIGINT) < $hi""".stripMargin,
+        "ts" -> raw(values),
       )
-    Oracle.assertEquivalent(
-      agg,
-      """SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
-        |       CAST(AVG(CAST(value AS BIGINT)) AS DOUBLE) AS mean,
-        |       COUNT(*) AS cnt
-        |FROM ts WHERE CAST(idx AS BIGINT) >= 500 AND CAST(idx AS BIGINT) < 3500""".stripMargin,
-      "ts" -> raw,
-    )
+    }
   }
 
   test("oracle: grouped aggregation over the NeaTS table matches DuckDB") {
     val (dir, values) = writeTable("BM", 2000, 512)
-    val df = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
-    val raw = values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq.toDF("idx", "value")
-    val agg = df.groupBy(floor($"idx" / 100).cast("long").as("bucket"))
+    val agg = load(dir).groupBy(floor($"idx" / 100).cast("long").as("bucket"))
       .agg(max($"value").cast("long").as("mx"))
     Oracle.assertEquivalent(
       agg,
       """SELECT CAST(FLOOR(CAST(idx AS BIGINT) / 100.0) AS BIGINT) AS bucket,
         |       MAX(CAST(value AS BIGINT)) AS mx
         |FROM ts GROUP BY 1""".stripMargin,
-      "ts" -> raw,
+      "ts" -> raw(values),
     )
+  }
+
+  test("write rejects a group size below 1 and creates nothing") {
+    for (groupSize <- Seq(0, -1)) {
+      val parent = Files.createTempDirectory("neats-size").toFile
+      dirs += parent
+      val dir = new File(parent, "table")
+      intercept[IllegalArgumentException](NeaTSFiles.write(dir.getPath, Array(1L, 2L, 3L), groupSize))
+      assert(!dir.exists(), s"groupSize $groupSize")
+    }
+  }
+
+  test("a group file that does not hold its index's count fails typed") {
+    val (dir, _) = writeTable("LON", 5000, 1024) // four groups of 1,024 values, then one of 904
+    val (_, groups) = NeaTSFiles.readMeta(dir)
+    val Seq(first, last) = Seq(groups.head, groups.last).map(g => new File(dir, g.file).toPath)
+    val (firstBytes, lastBytes) = (Files.readAllBytes(first), Files.readAllBytes(last))
+    Files.write(first, lastBytes) // 904 values where the index says 1,024
+    Files.write(last, firstBytes) // 1,024 values where the index says 904
+    intercept[CorruptBlobException](NeaTSFiles.readGroup(dir, groups.head))
+    intercept[CorruptBlobException](NeaTSFiles.readGroup(dir, groups.last))
+    for ((lo, hi) <- Seq((0L, 10L), (4990L, 5000L))) {
+      val e = intercept[Exception](load(dir).where($"idx" >= lo && $"idx" < hi).collect())
+      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .exists(_.isInstanceOf[CorruptBlobException]), s"[$lo, $hi): $e")
+    }
+  }
+
+  test("a tampered meta index fails typed") {
+    val (dir, _) = writeTable("BW", 3000, 1024) // groups [0, 1024), [1024, 2048), [2048, 3000)
+    val meta = new File(dir, "meta").toPath
+    val Seq(header, g0, g1, g2) = new String(Files.readAllBytes(meta), "UTF-8").linesIterator.toSeq
+    val tampered = Seq(
+      "empty" -> Seq(),
+      "header only" -> Seq(header),
+      "short header" -> Seq("3000", g0, g1, g2),
+      "non-numeric header" -> Seq("3000 x", g0, g1, g2),
+      "short line" -> Seq(header, g0, "1024 1024", g2),
+      "non-numeric line" -> Seq(header, g0, "1024 x group-00001.neats", g2),
+      "zero count" -> Seq(header, "0 0 group-00000.neats", g0, g1, g2),
+      "negative count" -> Seq(header, g0, "1024 -1024 group-00001.neats", g1, g2),
+      "duplicated line" -> Seq(header, g0, g0, g1, g2),
+      "overlapping line" -> Seq(header, g0, "1000 1048 group-00001.neats", g2),
+      "gap" -> Seq(header, g0, g2),
+      "out of order" -> Seq(header, g1, g0, g2),
+      "groups end before n" -> Seq(header, g0, g1),
+      "groups end after n" -> Seq("2999 1024", g0, g1, g2),
+    )
+    for ((why, lines) <- tampered) {
+      Files.write(meta, lines.map(_ + "\n").mkString.getBytes("UTF-8"))
+      withClue(why)(intercept[CorruptBlobException](NeaTSFiles.readMeta(dir)))
+      withClue(why)(intercept[CorruptBlobException](new NeaTSScan(dir, Long.MinValue, Long.MaxValue)
+        .planInputPartitions()))
+    }
   }
 }
