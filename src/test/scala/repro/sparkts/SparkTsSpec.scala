@@ -8,9 +8,10 @@ import repro.{Oracle, SparkSpec}
 import repro.core.neats.CorruptBlobException
 import repro.data.TimeSeries
 
-class NeaTSDataSourceSpec extends SparkSpec {
-  import spark.implicits._
-
+/** NeaTS tables written with `NeaTSFiles.write` into temp directories that are
+  * deleted after the suite.
+  */
+trait NeaTSTableSpec extends SparkSpec {
   private val dirs = collection.mutable.Buffer.empty[File]
 
   override def afterAll(): Unit = {
@@ -18,28 +19,127 @@ class NeaTSDataSourceSpec extends SparkSpec {
     super.afterAll()
   }
 
-  private def writeTable(name: String, n: Int, groupSize: Int): (String, Array[Long]) = {
-    val ds = TimeSeries.dataset(name, n)
-    val dir = Files.createTempDirectory(s"neats-$name").toFile
+  protected def tempDir(prefix: String): File = {
+    val dir = Files.createTempDirectory(prefix).toFile
     dirs += dir
+    dir
+  }
+
+  protected def writeTable(name: String, n: Int, groupSize: Int): (String, Array[Long]) = {
+    val ds = TimeSeries.dataset(name, n)
+    val dir = tempDir(s"neats-$name")
     NeaTSFiles.write(dir.getPath, ds.longs, groupSize)
     (dir.getPath, ds.longs)
   }
 
-  private def load(dir: String) = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
+  protected def load(dir: String) = spark.read.format(NeaTSDataSource.format).option("path", dir).load()
 
-  private def pairs(rows: Array[org.apache.spark.sql.Row]): Seq[(Long, Long)] =
+  protected def pairs(rows: Array[org.apache.spark.sql.Row]): Seq[(Long, Long)] =
     rows.toSeq.map(r => (r.getLong(0), r.getLong(1)))
 
-  private def raw(values: Array[Long]) =
-    values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq.toDF("idx", "value")
+  protected def indexed(values: Array[Long]): Seq[(Long, Long)] =
+    values.toSeq.zipWithIndex.map { case (v, i) => (i.toLong, v) }
+
+  protected def raw(values: Array[Long]) = {
+    import spark.implicits._
+    indexed(values).toDF("idx", "value")
+  }
+}
+
+/** Encoding and decoding per row group, without Spark planning: each group is
+  * one blob written by `NeaTSFiles.write`, and `NeaTSFiles.Group.read` decodes
+  * the rows of an index range from the groups it overlaps.
+  */
+class NeaTSCodecSpec extends NeaTSTableSpec {
+  import spark.implicits._
+
+  /** The rows of [from, until), read straight from the group files. */
+  private def readRange(dir: String, from: Long, until: Long): Seq[(Long, Long)] =
+    NeaTSFiles.readMeta(dir)._2.filter(_.overlaps(from, until - 1)).flatMap { g =>
+      val (first, vs) = g.read(dir, from, until - 1)
+      vs.indices.map(k => (first + k, vs(k)))
+    }
+
+  test("encode/decode roundtrip through Spark row groups") {
+    val (dir, values) = writeTable("IT", 10000, 2048)
+    assert(new NeaTSScan(dir, Long.MinValue, Long.MaxValue).planInputPartitions().length === 5)
+    val back = load(dir)
+    assert(back.count() === 10000)
+    assert(pairs(back.orderBy("idx").collect()) === indexed(values))
+  }
+
+  test("range query decodes only the overlapping slice, matches full decode") {
+    val (dir, values) = writeTable("ECG", 12000, 2048)
+    val (_, groups) = NeaTSFiles.readMeta(dir)
+    val full = groups.flatMap(g => NeaTSFiles.readGroup(dir, g).range(0, g.count))
+    assert(full === values.toSeq)
+    for ((from, until) <- Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L),
+                              (3000L, 3000L), (2048L, 2049L), (4095L, 4096L))) {
+      for (g <- groups) {
+        val (first, vs) = g.read(dir, from, until - 1)
+        val (lo, hi) = (math.max(from, g.start), math.min(until, g.start + g.count))
+        assert(g.overlaps(from, until - 1) === lo < hi, s"[$from, $until) group ${g.start}")
+        assert(vs.length === math.max(0L, hi - lo), s"[$from, $until) group ${g.start}")
+        if (vs.nonEmpty) assert(first === lo, s"[$from, $until) group ${g.start}")
+      }
+      val got = readRange(dir, from, until)
+      assert(got.length === (until - from).toInt, s"[$from, $until)")
+      got.foreach { case (i, v) => assert(v === full(i.toInt), s"at $i") }
+    }
+  }
+
+  test("point query via Algorithm 3") {
+    val (dir, values) = writeTable("WD", 8000, 1024)
+    val (_, groups) = NeaTSFiles.readMeta(dir)
+    val blobs = groups.map(g => NeaTSFiles.readGroup(dir, g))
+    val rng = new java.util.Random(50)
+    (0 until 20).foreach { _ =>
+      val i = rng.nextInt(8000)
+      val g = groups.indexWhere(_.overlaps(i, i))
+      assert(blobs(g)((i - groups(g).start).toInt) === values(i), s"idx $i")
+      assert(pairs(load(dir).where($"idx" === i.toLong).collect()) === Seq((i.toLong, values(i))), s"idx $i")
+    }
+  }
+
+  test("rangeQuery and the DataSource return identical rows") {
+    val (dir, values) = writeTable("LAT", 5000, 1024)
+    val table = load(dir)
+    for ((from, until) <- Seq((0L, 5000L), (1023L, 1025L), (2048L, 2048L), (3000L, 4100L), (4999L, 5000L))) {
+      val direct = readRange(dir, from, until)
+      val viaTable = pairs(table.where($"idx" >= from && $"idx" < until).orderBy("idx").collect())
+      assert(direct === (from until until).map(i => (i, values(i.toInt))), s"[$from, $until)")
+      assert(viaTable === direct, s"[$from, $until)")
+    }
+  }
+
+  test("oracle: range aggregates over decoded data match DuckDB on the raw table") {
+    val (dir, values) = writeTable("AP", 6000, 1024)
+    val agg = readRange(dir, 0, 6000).toDF("idx", "value")
+      .where($"idx" >= 1000 && $"idx" < 4000)
+      .agg(
+        sum($"value").cast("double").as("total"),
+        count($"idx").cast("long").as("cnt"),
+        min($"value").cast("long").as("mn"),
+        max($"value").cast("long").as("mx"),
+      )
+    Oracle.assertEquivalent(
+      agg,
+      """SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
+        |       COUNT(idx) AS cnt,
+        |       MIN(CAST(value AS BIGINT)) AS mn,
+        |       MAX(CAST(value AS BIGINT)) AS mx
+        |FROM ts WHERE CAST(idx AS BIGINT) >= 1000 AND CAST(idx AS BIGINT) < 4000""".stripMargin,
+      "ts" -> raw(values),
+    )
+  }
+}
+
+class NeaTSDataSourceSpec extends NeaTSTableSpec {
+  import spark.implicits._
 
   test("full scan equals the original series") {
-    for ((name, n, groupSize) <- Seq(("UK", 9000, 2048), ("IT", 10000, 2048))) {
-      val (dir, values) = writeTable(name, n, groupSize)
-      val got = pairs(load(dir).orderBy("idx").collect())
-      assert(got === values.toSeq.zipWithIndex.map { case (v, i) => (i.toLong, v) }, name)
-    }
+    val (dir, values) = writeTable("UK", 9000, 2048)
+    assert(pairs(load(dir).orderBy("idx").collect()) === indexed(values))
   }
 
   test("row groups actually compress") {
@@ -54,7 +154,6 @@ class NeaTSDataSourceSpec extends SparkSpec {
       ("GE", 9000, 1024, Seq((0L, 50L), (1000L, 1030L), (1020L, 5100L), (8990L, 9000L))),
       ("ECG", 12000, 2048, Seq((0L, 100L), (2000L, 2100L), (2040L, 6100L), (11900L, 12000L),
                                (3000L, 3000L), (2048L, 2049L), (4095L, 4096L))),
-      ("LAT", 5000, 1024, Seq((0L, 5000L), (1023L, 1025L), (2048L, 2048L), (3000L, 4100L), (4999L, 5000L))),
     )
     for ((name, n, groupSize, ranges) <- tables) {
       val (dir, values) = writeTable(name, n, groupSize)
@@ -85,40 +184,32 @@ class NeaTSDataSourceSpec extends SparkSpec {
   }
 
   test("equality filter returns the single row") {
-    val rng = new java.util.Random(50)
-    for ((name, n, groupSize, lookups) <- Seq(("CT", 4096, 512, Seq(1234)),
-                                              ("WD", 8000, 1024, Seq.fill(20)(rng.nextInt(8000))))) {
-      val (dir, values) = writeTable(name, n, groupSize)
-      val df = load(dir)
-      for (i <- lookups)
-        assert(pairs(df.where($"idx" === i.toLong).collect()) === Seq((i.toLong, values(i))), s"$name idx $i")
-    }
+    val (dir, values) = writeTable("CT", 4096, 512)
+    assert(pairs(load(dir).where($"idx" === 1234L).collect()) === Seq((1234L, values(1234))))
   }
 
   test("oracle: SQL aggregates over the NeaTS table match DuckDB on raw values") {
-    for ((name, n, groupSize, lo, hi) <- Seq(("DU", 5000, 1000, 500, 3500), ("AP", 6000, 1024, 1000, 4000))) {
-      val (dir, values) = writeTable(name, n, groupSize)
-      val agg = load(dir).where($"idx" >= lo && $"idx" < hi)
-        .agg(
-          sum($"value").cast("double").as("total"),
-          avg($"value").cast("double").as("mean"),
-          count(lit(1)).cast("long").as("cnt"),
-          count($"idx").cast("long").as("cnt_idx"),
-          min($"value").cast("long").as("mn"),
-          max($"value").cast("long").as("mx"),
-        )
-      Oracle.assertEquivalent(
-        agg,
-        s"""SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
-           |       CAST(AVG(CAST(value AS BIGINT)) AS DOUBLE) AS mean,
-           |       COUNT(*) AS cnt,
-           |       COUNT(idx) AS cnt_idx,
-           |       MIN(CAST(value AS BIGINT)) AS mn,
-           |       MAX(CAST(value AS BIGINT)) AS mx
-           |FROM ts WHERE CAST(idx AS BIGINT) >= $lo AND CAST(idx AS BIGINT) < $hi""".stripMargin,
-        "ts" -> raw(values),
+    val (dir, values) = writeTable("DU", 5000, 1000)
+    val agg = load(dir).where($"idx" >= 500 && $"idx" < 3500)
+      .agg(
+        sum($"value").cast("double").as("total"),
+        avg($"value").cast("double").as("mean"),
+        count(lit(1)).cast("long").as("cnt"),
+        count($"idx").cast("long").as("cnt_idx"),
+        min($"value").cast("long").as("mn"),
+        max($"value").cast("long").as("mx"),
       )
-    }
+    Oracle.assertEquivalent(
+      agg,
+      """SELECT CAST(SUM(CAST(value AS BIGINT)) AS DOUBLE) AS total,
+        |       CAST(AVG(CAST(value AS BIGINT)) AS DOUBLE) AS mean,
+        |       COUNT(*) AS cnt,
+        |       COUNT(idx) AS cnt_idx,
+        |       MIN(CAST(value AS BIGINT)) AS mn,
+        |       MAX(CAST(value AS BIGINT)) AS mx
+        |FROM ts WHERE CAST(idx AS BIGINT) >= 500 AND CAST(idx AS BIGINT) < 3500""".stripMargin,
+      "ts" -> raw(values),
+    )
   }
 
   test("oracle: grouped aggregation over the NeaTS table matches DuckDB") {
@@ -136,9 +227,7 @@ class NeaTSDataSourceSpec extends SparkSpec {
 
   test("write rejects a group size below 1 and creates nothing") {
     for (groupSize <- Seq(0, -1)) {
-      val parent = Files.createTempDirectory("neats-size").toFile
-      dirs += parent
-      val dir = new File(parent, "table")
+      val dir = new File(tempDir("neats-size"), "table")
       intercept[IllegalArgumentException](NeaTSFiles.write(dir.getPath, Array(1L, 2L, 3L), groupSize))
       assert(!dir.exists(), s"groupSize $groupSize")
     }
