@@ -34,12 +34,6 @@ final class BitWriter(initialWords: Int = 16) {
   /** Append a single bit. */
   def appendBit(bit: Boolean): Unit = append(if (bit) 1L else 0L, 1)
 
-  /** Append `count` zero bits (used for unary/Elias-Fano encodings). */
-  def appendZeros(count: Long): Unit = {
-    ensure(((bitLen + count) >>> 6).toInt + 2)
-    bitLen += count
-  }
-
   def lengthInBits: Long = bitLen
 
   /** A tight copy of the underlying words (just enough to hold all bits). */

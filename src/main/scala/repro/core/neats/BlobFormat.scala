@@ -27,10 +27,10 @@ final class CorruptBlobException(message: String) extends RuntimeException(messa
   *  - B: int32 length, int32 width w, words(length * w);
   *  - O: an Elias-Fano sequence laid out as S;
   *  - C: int64 length in bits c, words(c);
-  *  - K: int32 length, int32 sigma, then each of the ceil(log2 sigma)
-  *    wavelet levels (at least one) as words(length);
-  *  - P: int32 count (= sigma), then per kind id an int32 length and that
-  *    many int64 raw IEEE-754 bits;
+  *  - K: int32 length, int32 sigma (= 4, the number of kinds), then its
+  *    two wavelet levels as words(length) each;
+  *  - P: int32 count (= 4), then per kind id an int32 length and that many
+  *    int64 raw IEEE-754 bits;
   *  - int32 CRC32C of every byte before it.
   */
 private[neats] object BlobFormat {
@@ -46,7 +46,7 @@ private[neats] object BlobFormat {
   private def sizeOf(c: NeaTSCompressed): Int = {
     def ef(e: EliasFano) = 16L + 8L * (e.lows.words.length + e.highs.words.length)
     val bytes = HeaderBytes + ef(c.s) + 8L + 8L * c.b.words.length + ef(c.o) +
-      8L + 8L * c.c.words.length + 8L + 8L * c.k.levels.map(_.words.length.toLong).sum +
+      8L + 8L * c.c.words.length + 8L + 8L * (c.k.level0.words.length + c.k.level1.words.length) +
       4L + c.p.map(4L + 8L * _.length).sum + CrcBytes
     require(bytes <= Int.MaxValue, s"blob of $bytes bytes does not fit in an array")
     bytes.toInt
@@ -73,8 +73,9 @@ private[neats] object BlobFormat {
     eliasFano(c.o)
     out.putLong(c.c.lengthInBits)
     words(c.c.words, c.c.lengthInBits)
-    out.putInt(c.k.length).putInt(c.k.sigma)
-    c.k.levels.foreach(level => words(level.words, c.k.length))
+    out.putInt(c.k.length).putInt(FunctionKind.sigma)
+    words(c.k.level0.words, c.k.length)
+    words(c.k.level1.words, c.k.length)
     out.putInt(c.p.length)
     c.p.foreach { pf =>
       out.putInt(pf.length)
@@ -168,8 +169,9 @@ private[neats] object BlobFormat {
     val kLength = in.count("K")
     val sigma = in.int("K")
     if (sigma != FunctionKind.sigma) corrupt(s"K has sigma $sigma, expected ${FunctionKind.sigma}")
-    val levels = Array.fill(WaveletTree.heightFor(sigma))(new BitVector(in.words(kLength, "K"), kLength))
-    val k = new WaveletTree(kLength, sigma, levels)
+    val level0 = new BitVector(in.words(kLength, "K"), kLength)
+    val level1 = new BitVector(in.words(kLength, "K"), kLength)
+    val k = new WaveletTree(kLength, level0, level1)
     val nP = in.count("P")
     if (nP != sigma) corrupt(s"$nP parameter arrays for $sigma kinds")
     if (bLength != m || kLength != m || o.length != m + 1)

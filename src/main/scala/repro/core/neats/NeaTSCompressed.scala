@@ -10,7 +10,7 @@ import repro.core.bits._
   *  - B: fixed-width array of per-fragment correction bit widths;
   *  - O: Elias-Fano over cumulative correction bit offsets (m+1 entries);
   *  - C: packed correction bits (signed two's complement per value);
-  *  - K: wavelet tree over the function-kind string, with rank_f;
+  *  - K: the two-level wavelet tree of the four-kind string, with rank_f;
   *  - P: per-kind concatenated parameter arrays (64-bit doubles).
   *
   * Supports full decompression (Algorithm 2), random access (Algorithm 3)
@@ -41,8 +41,6 @@ final class NeaTSCompressed(
     val k: WaveletTree,        // kinds, length m
     val p: Array[Array[Double]], // per-kind-id parameter arrays
 ) {
-  require(k.sigma == 4, s"K has sigma ${k.sigma}; the read path descends a tree over 4 kinds")
-
   def numFragments: Int = s.length
 
   private[this] val sHigh = s.highs.words
@@ -64,11 +62,11 @@ final class NeaTSCompressed(
   private[this] val oLength = o.length
   private[this] val cWords = c.words
   private[this] val kLength = k.length
-  private[this] val k0 = k.levels(0).words
-  private[this] val k0Ranks = k.levels(0).blockRank
-  private[this] val k0Ones = k.levels(0).countOnes
-  private[this] val k1 = k.levels(1).words
-  private[this] val k1Ranks = k.levels(1).blockRank
+  private[this] val k0 = k.level0.words
+  private[this] val k0Ranks = k.level0.blockRank
+  private[this] val k0Ones = k.level0.countOnes
+  private[this] val k1 = k.level1.words
+  private[this] val k1Ranks = k.level1.blockRank
 
   /** (start << 32) | (fragment + 1) of the fragment holding idx: S.predecessor. */
   private def fragmentOf(idx: Int): Long =
@@ -135,7 +133,7 @@ final class NeaTSCompressed(
     * Allocates only the output array.
     */
   def range(from: Int, len: Int): Array[Long] = {
-    if (from < 0 || len < 0 || from + len > n) Check.fail(s"range [$from, ${from + len}) out of [0, $n)")
+    if (from < 0 || len < 0 || len > n - from) Check.fail(s"range [$from, ${from.toLong + len}) out of [0, $n)")
     val out = new Array[Long](len)
     if (len == 0) return out
     var frag = s.rank(from) - 1

@@ -142,16 +142,11 @@ class NeaTSScanBuilder(path: String) extends ScanBuilder with SupportsPushDownFi
 
   private def matchNothing(): Unit = { lo = Long.MaxValue; hi = Long.MinValue }
 
-  override def pushFilters(filters: Array[sources.Filter]): Array[sources.Filter] = {
-    val (accepted, rejected) = filters.partition {
-      case sources.GreaterThan("idx", _: Long) => true
-      case sources.GreaterThanOrEqual("idx", _: Long) => true
-      case sources.LessThan("idx", _: Long) => true
-      case sources.LessThanOrEqual("idx", _: Long) => true
-      case sources.EqualTo("idx", _: Long) => true
-      case _ => false
-    }
-    accepted.foreach {
+  /** Narrows [lo, hi] by an idx bound; false, with no change, for any other
+    * filter.
+    */
+  private def narrow(filter: sources.Filter): Boolean = {
+    filter match {
       case sources.GreaterThan("idx", v: Long) =>
         if (v == Long.MaxValue) matchNothing() else lo = math.max(lo, v + 1)
       case sources.GreaterThanOrEqual("idx", v: Long) => lo = math.max(lo, v)
@@ -159,8 +154,13 @@ class NeaTSScanBuilder(path: String) extends ScanBuilder with SupportsPushDownFi
         if (v == Long.MinValue) matchNothing() else hi = math.min(hi, v - 1)
       case sources.LessThanOrEqual("idx", v: Long) => hi = math.min(hi, v)
       case sources.EqualTo("idx", v: Long) => lo = math.max(lo, v); hi = math.min(hi, v)
-      case _ =>
+      case _ => return false
     }
+    true
+  }
+
+  override def pushFilters(filters: Array[sources.Filter]): Array[sources.Filter] = {
+    val (accepted, rejected) = filters.partition(narrow)
     pushed = accepted
     rejected // Spark re-evaluates nothing for accepted ones; rejected stay post-scan
   }

@@ -55,17 +55,6 @@ class BitsSpec extends SparkSpec {
     }
   }
 
-  test("appendZeros skips bits correctly") {
-    val bw = new BitWriter()
-    bw.append(5L, 3)
-    bw.appendZeros(100)
-    bw.append(7L, 3)
-    val r = new BitReader(bw.words, bw.lengthInBits)
-    assert(r.get(0, 3) === 5L)
-    assert(r.get(3, 64) === 0L)
-    assert(r.get(103, 3) === 7L)
-  }
-
   test("width 64 values including negatives roundtrip") {
     val bw = new BitWriter()
     val vs = Seq(Long.MinValue, Long.MaxValue, -1L, 0L, 42L)
@@ -261,46 +250,43 @@ class EliasFanoSpec extends SparkSpec {
 
 class WaveletTreeSpec extends SparkSpec {
 
-  private def check(symbols: Array[Int], sigma: Int): Unit = {
-    val wt = WaveletTree(symbols, sigma)
+  private def check(symbols: Array[Int]): Unit = {
+    val wt = WaveletTree(symbols, 4)
     symbols.zipWithIndex.foreach { case (s, i) => assert(wt(i) === s, s"access($i)") }
-    for (sym <- 0 until sigma; i <- 0 to symbols.length by math.max(1, symbols.length / 50)) {
+    for (sym <- 0 until 4; i <- 0 to symbols.length by math.max(1, symbols.length / 50)) {
       val expected = symbols.take(i).count(_ == sym)
       assert(wt.rank(sym, i) === expected, s"rank($sym, $i)")
     }
   }
 
-  test("random strings over alphabets of size 2..9") {
-    val rng = new Random(9)
-    for (sigma <- 2 to 9) check(Array.fill(800)(rng.nextInt(sigma)), sigma)
-  }
-
-  test("inverseSelect equals (apply(i), rank(apply(i), i)) for sigma 1..9") {
+  test("inverseSelect equals (apply(i), rank(apply(i), i)) for sigma 4") {
     val strings = for {
-      sigma <- Gen.choose(1, 9)
       n <- Gen.choose(1, 600)
       skew <- Gen.oneOf(false, true)
       seed <- Gen.long
     } yield {
       val rng = new Random(seed)
-      (Array.fill(n)(if (skew && rng.nextInt(4) > 0) sigma - 1 else rng.nextInt(sigma)), sigma)
+      Array.fill(n)(if (skew && rng.nextInt(4) > 0) 3 else rng.nextInt(4))
     }
-    val result = FixedSeed.check(Prop.forAllNoShrink(strings) { case (symbols, sigma) =>
-      val wt = WaveletTree(symbols, sigma)
-      val counts = new Array[Int](sigma)
+    val result = FixedSeed.check(Prop.forAllNoShrink(strings) { symbols =>
+      val wt = WaveletTree(symbols, 4)
+      val counts = new Array[Int](4)
       val wrong = symbols.indices.filterNot { i =>
         val sym = symbols(i)
         val want = (sym.toLong << 32) | counts(sym)
         counts(sym) += 1
         wt.inverseSelect(i) == want && wt(i) == sym && wt.rank(sym, i) == want.toInt
       }
-      Prop(wrong.isEmpty) :| s"sigma=$sigma, n=${symbols.length}: wrong at ${wrong.take(5).mkString(", ")}"
+      Prop(wrong.isEmpty) :| s"n=${symbols.length}: wrong at ${wrong.take(5).mkString(", ")}"
     })
     assert(result.passed, FixedSeed.report(result))
   }
 
-  test("single-symbol alphabet") {
-    check(Array.fill(50)(0), 1)
+  test("every sigma but 4 and every symbol outside [0, 4) is rejected") {
+    for (sigma <- Seq(Int.MinValue, -1, 0, 1, 2, 3, 5, 8, 9, Int.MaxValue))
+      intercept[IllegalArgumentException](WaveletTree(Array(0), sigma))
+    for (sym <- Seq(-1, 4, Int.MaxValue))
+      intercept[IllegalArgumentException](WaveletTree(Array(0, sym), 4))
   }
 
   test("the NeaTS use case: kind string over 4 kinds") {
@@ -317,7 +303,8 @@ class WaveletTreeSpec extends SparkSpec {
   }
 
   test("empty-ish and skewed strings") {
-    check(Array(3), 4)
-    check(Array.fill(100)(2) ++ Array.fill(100)(0), 4)
+    check(Array.empty[Int])
+    check(Array(3))
+    check(Array.fill(100)(2) ++ Array.fill(100)(0))
   }
 }

@@ -1,11 +1,13 @@
 package repro.core.neats
 
+import java.nio.{ByteBuffer, ByteOrder}
 import java.util.Random
+import java.util.zip.CRC32C
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import repro.SparkSpec
-import repro.core.bits.EliasFano
+import repro.core.bits.{EliasFano, WaveletTree}
 import repro.data.TimeSeries
 import repro.sparkts.NeaTSFiles
 
@@ -59,10 +61,28 @@ class BlobFormatSpec extends SparkSpec {
     assert(c.numFragments > 1)
     val frags = c.s.toArray
     val offsets = c.o.toArray
-    def blobOf(s: EliasFano = c.s, o: EliasFano = c.o, p: Array[Array[Double]] = c.p) =
-      new NeaTSCompressed(c.n, c.shift, s, c.b, o, c.c, c.k, p).toBytes
+    val kinds = c.k.toArray
+    def blobOf(s: EliasFano = c.s, o: EliasFano = c.o, k: WaveletTree = c.k, p: Array[Array[Double]] = c.p) =
+      new NeaTSCompressed(c.n, c.shift, s, c.b, o, c.c, k, p).toBytes
     val widerP = c.p.map(_ :+ 0.0)
+    // K's sigma sits after the header, S, B, O, C and K's length
+    def efBytes(e: EliasFano) = 16 + 8 * (e.lows.words.length + e.highs.words.length)
+    val sigmaAt = 24 + efBytes(c.s) + 8 + 8 * c.b.words.length + efBytes(c.o) + 8 + 8 * c.c.words.length + 4
+    val sigma5 = {
+      val bytes = c.toBytes
+      val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+      assert(buf.getInt(sigmaAt - 4) === c.numFragments && buf.getInt(sigmaAt) === 4)
+      buf.putInt(sigmaAt, 5)
+      val crc = new CRC32C
+      crc.update(bytes, 0, bytes.length - 4)
+      buf.putInt(bytes.length - 4, crc.getValue.toInt)
+      bytes
+    }
     assertAllTyped(Seq(
+      "m - 1 kinds" -> blobOf(k = WaveletTree(kinds.init, 4)),
+      "m + 1 kinds" -> blobOf(k = WaveletTree(kinds :+ kinds.last, 4)),
+      "five parameter arrays" -> blobOf(p = c.p :+ Array.empty[Double]),
+      "K's sigma patched to 5" -> sigma5,
       "m offsets for m fragments" -> blobOf(o = EliasFano(offsets.dropRight(1))),
       "m + 2 offsets for m fragments" -> blobOf(o = EliasFano(offsets :+ offsets.last)),
       "m + 1 fragments" -> blobOf(s = EliasFano(frags :+ (c.n - 1L))),

@@ -167,6 +167,19 @@ class NeaTSSpec extends SparkSpec {
     assert(c.range(0, data.n).toSeq === all.toSeq)
   }
 
+  test("apply and range reject every index and range outside the series") {
+    val c = NeaTS.compress(TimeSeries.dataset("ECG", 2000).longs)
+    val n = c.n
+    val calls = Seq[(String, () => Any)](
+      "apply(-1)" -> (() => c(-1)),
+      "apply(n)" -> (() => c(n)),
+      "range(-1, 1)" -> (() => c.range(-1, 1)),
+      "range(0, n + 1)" -> (() => c.range(0, n + 1)),
+      "range(1, Int.MaxValue)" -> (() => c.range(1, Int.MaxValue)),
+    )
+    for ((what, call) <- calls) withClue(what)(intercept[IllegalArgumentException](call()))
+  }
+
   test("apply and range agree at every index of every analogue, plain and lifted by 2^30") {
     for (ds <- TimeSeries.names; lift <- Seq(0L, 1L << 30)) {
       val ys = TimeSeries.dataset(ds, 1500).longs.map(_ + lift)

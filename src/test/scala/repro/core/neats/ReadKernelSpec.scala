@@ -134,14 +134,20 @@ class ReadKernelSpec extends SparkSpec {
       val rng = new Random(seed)
       val kinds = Array.fill(n)(if (skew && rng.nextInt(4) > 0) 3 else rng.nextInt(4))
       val k = WaveletTree(kinds, 4)
-      val (l0, l1) = (k.levels(0), k.levels(1))
-      val counts = new Array[Int](4)
-      val wrong = kinds.indices.filterNot { i =>
-        val sym = kinds(i)
-        val want = (sym.toLong << 32) | counts(sym)
-        counts(sym) += 1
-        val got = WaveletTree.inverseSelect(n, l0.words, l0.blockRank, l0.countOnes, l1.words, l1.blockRank, i)
-        got == want && k(i) == sym && k.rank(sym, i) == want.toInt
+      val (l0, l1) = (k.level0, k.level1)
+      val counts = new Array[Int](4) // occurrences of each kind before i
+      val wrong = (0 to n).filterNot { i =>
+        val ranked = (0 until 4).forall { sym =>
+          WaveletTree.rank(n, l0.words, l0.blockRank, l0.countOnes, l1.words, l1.blockRank, sym, i) == counts(sym)
+        }
+        if (i == n) ranked
+        else {
+          val sym = kinds(i)
+          val want = (sym.toLong << 32) | counts(sym)
+          counts(sym) += 1
+          val got = WaveletTree.inverseSelect(n, l0.words, l0.blockRank, l0.countOnes, l1.words, l1.blockRank, i)
+          ranked && got == want && k(i) == sym && k.rank(sym, i) == want.toInt
+        }
       }
       Prop(wrong.isEmpty) :| s"n=$n: wrong at ${wrong.take(5).mkString(", ")}"
     }, cases = 50)

@@ -158,9 +158,11 @@ class NeaTSDataSourceSpec extends NeaTSTableSpec {
     for ((name, n, groupSize, ranges) <- tables) {
       val (dir, values) = writeTable(name, n, groupSize)
       val df = load(dir)
-      for ((lo, hi) <- ranges) {
-        val got = pairs(df.where($"idx" >= lo && $"idx" < hi).orderBy("idx").collect())
-        assert(got === (lo until hi).map(i => (i, values(i.toInt))), s"$name [$lo, $hi)")
+      for ((lo, hi) <- ranges;
+           (form, filter) <- Seq(">= and <" -> ($"idx" >= lo && $"idx" < hi),
+                                 "> and <=" -> ($"idx" > lo - 1 && $"idx" <= hi - 1))) {
+        val got = pairs(df.where(filter).orderBy("idx").collect())
+        assert(got === (lo until hi).map(i => (i, values(i.toInt))), s"$name [$lo, $hi) as $form")
       }
       // `v + 1` and `v - 1` at the ends of Long must not wrap into "every row".
       for (none <- Seq(sources.GreaterThan("idx", Long.MaxValue), sources.LessThan("idx", Long.MinValue))) {

@@ -5,15 +5,18 @@ import java.security.MessageDigest
 import repro.core.neats.{NeaTS, NeaTSCompressed}
 import repro.data.TimeSeries
 
-/** Prints, per (variant, analogue), the blob's length, a SHA-256 of its
-  * bytes (`toBytes`) and a SHA-256 of the in-memory layout it holds: n, the
-  * shift, the values of S, B, O and K, the words of C and the raw bits of
-  * every P_f. The variants are NeaTS, LeaTS, SNeaTS and NeaTS-L at eps = 15,
-  * over the 16 analogues at their benchmark sizes and copies lifted by 2^30.
+/** Prints, per (variant, analogue), the blob's length, the layout's
+  * `sizeInBits`, a SHA-256 of the blob's bytes (`toBytes`) and a SHA-256 of
+  * the in-memory layout it holds: n, the shift, the values of S, B, O and K,
+  * the words of C and the raw bits of every P_f. The variants are NeaTS,
+  * LeaTS, SNeaTS and NeaTS-L at eps = 15, over the 16 analogues at their
+  * benchmark sizes and copies lifted by 2^30.
   * Diffing the output of two commits checks a change that must not move the
   * partition: the layout digests must match, and the blob digests too
   * unless the change moves the blob format (the word-level format of
-  * version 1 changed every blob digest once and no layout digest).
+  * version 1 changed every blob digest once and no layout digest). A
+  * `sizeInBits` that moves with no digest moving is a change to the
+  * in-memory accounting, which perfbench reads as `mem_pct`.
   *
   * Run: `sbt "Test/runMain repro.tools.BlobDigest"`
   */
@@ -49,7 +52,7 @@ object BlobDigest {
     for ((variant, compress) <- variants; (name, ys) <- inputs) {
       val c = compress(ys)
       val blob = c.toBytes
-      println(f"$variant%-8s $name%-10s ${blob.length}%9d ${sha256(blob)} ${layoutSha256(c)}")
+      println(f"$variant%-8s $name%-10s ${blob.length}%9d ${c.sizeInBits}%10d ${sha256(blob)} ${layoutSha256(c)}")
     }
   }
 }
