@@ -93,7 +93,4 @@ object Codec {
 
   def doublesToBits(values: Array[Double]): Array[Long] =
     values.map(java.lang.Double.doubleToRawLongBits)
-
-  def bitsToDoubles(values: Array[Long]): Array[Double] =
-    values.map(java.lang.Double.longBitsToDouble)
 }

@@ -1,24 +1,18 @@
 package repro.baselines.xor
 
-import repro.baselines.BlockCodec
+import repro.baselines.{BlockCodec, Codec}
 import repro.core.bits.{BitReader, BitWriter}
 
-/** Bit-stream <-> byte-array glue shared by the XOR-family codecs. */
+/** Bit-stream <-> byte-array glue shared by the XOR-family codecs: the
+  * stream's little-endian words, cut to its last byte.
+  */
 private[baselines] object BitBytes {
-  def toBytes(w: BitWriter): Array[Byte] = {
-    val words = w.words
-    val nBytes = ((w.lengthInBits + 7) / 8).toInt
-    val bb = java.nio.ByteBuffer.allocate(words.length * 8).order(java.nio.ByteOrder.LITTLE_ENDIAN)
-    bb.asLongBuffer().put(words)
-    java.util.Arrays.copyOf(bb.array(), nBytes)
-  }
+  def toBytes(w: BitWriter): Array[Byte] =
+    java.util.Arrays.copyOf(Codec.longsToBytes(w.words), ((w.lengthInBits + 7) / 8).toInt)
 
   def reader(bytes: Array[Byte]): BitReader = {
     val nWords = (bytes.length + 7) / 8
-    val padded = java.util.Arrays.copyOf(bytes, nWords * 8)
-    val words = new Array[Long](nWords)
-    java.nio.ByteBuffer.wrap(padded).order(java.nio.ByteOrder.LITTLE_ENDIAN)
-      .asLongBuffer().get(words)
+    val words = Codec.bytesToLongs(java.util.Arrays.copyOf(bytes, nWords * 8), nWords)
     new BitReader(words, bytes.length.toLong * 8)
   }
 }

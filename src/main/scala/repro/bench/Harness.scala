@@ -30,11 +30,18 @@ object Harness {
     override def range(from: Int, len: Int): Array[Long] = c.range(from, len)
   }
 
-  /** One lossless competitor: how to build its compressed form from a dataset.
-    * `family` is "gp" (general-purpose) or "sp" (special-purpose), matching
-    * the two families of Table III.
+  /** One lossless competitor: the payload it compresses and its codec over
+    * that payload. `family` is "gp" (general-purpose) or "sp"
+    * (special-purpose), matching the two families of Table III.
     */
-  final case class Adapter(name: String, family: String, build: Dataset => CompressedSeq)
+  final case class Adapter(name: String, family: String, payload: Dataset => Array[Long],
+                           codec: Array[Long] => CompressedSeq) {
+    /** The compressed form of `ds`: both steps, as one timed call. */
+    def build(ds: Dataset): CompressedSeq = codec(payload(ds))
+  }
+
+  private val longs: Dataset => Array[Long] = _.longs
+  private val doubleBits: Dataset => Array[Long] = ds => Codec.doublesToBits(ds.values)
 
   /** The 13 lossless compressors of Table III, in the paper's column order.
     * Double-native codecs (XOR family, ALP) get the raw double bits; the
@@ -42,25 +49,25 @@ object Harness {
     * Original size is 64 bits/value either way.
     */
   val losslessAdapters: Seq[Adapter] = Seq(
-    Adapter("Xz", "gp", ds => new BlockStore(XzCodec, ds.longs)),
-    Adapter("Brotli*", "gp", ds => new BlockStore(BrotliLikeCodec, ds.longs)),
-    Adapter("Zstd", "gp", ds => new BlockStore(ZstdCodec, ds.longs)),
-    Adapter("Lz4", "gp", ds => new BlockStore(Lz4Codec, ds.longs)),
-    Adapter("Snappy", "gp", ds => new BlockStore(SnappyCodec, ds.longs)),
-    Adapter("Gorilla", "sp", ds => new BlockStore(GorillaCodec, Codec.doublesToBits(ds.values))),
-    Adapter("Chimp", "sp", ds => new BlockStore(ChimpCodec, Codec.doublesToBits(ds.values))),
-    Adapter("Chimp128", "sp", ds => new BlockStore(Chimp128Codec, Codec.doublesToBits(ds.values))),
-    Adapter("TSXor", "sp", ds => new BlockStore(TSXorCodec, Codec.doublesToBits(ds.values))),
-    Adapter("DAC", "sp", ds => DAC.compress(ds.longs)),
-    Adapter("LeCo", "sp", ds => LeCo.compress(ds.longs)),
-    Adapter("ALP", "sp", ds => new BlockStore(ALPCodec, Codec.doublesToBits(ds.values))),
-    Adapter("NeaTS", "sp", ds => new NeaTSSeq(NeaTS.compress(ds.longs))),
+    Adapter("Xz", "gp", longs, new BlockStore(XzCodec, _)),
+    Adapter("Brotli*", "gp", longs, new BlockStore(BrotliLikeCodec, _)),
+    Adapter("Zstd", "gp", longs, new BlockStore(ZstdCodec, _)),
+    Adapter("Lz4", "gp", longs, new BlockStore(Lz4Codec, _)),
+    Adapter("Snappy", "gp", longs, new BlockStore(SnappyCodec, _)),
+    Adapter("Gorilla", "sp", doubleBits, new BlockStore(GorillaCodec, _)),
+    Adapter("Chimp", "sp", doubleBits, new BlockStore(ChimpCodec, _)),
+    Adapter("Chimp128", "sp", doubleBits, new BlockStore(Chimp128Codec, _)),
+    Adapter("TSXor", "sp", doubleBits, new BlockStore(TSXorCodec, _)),
+    Adapter("DAC", "sp", longs, DAC.compress(_)),
+    Adapter("LeCo", "sp", longs, LeCo.compress),
+    Adapter("ALP", "sp", doubleBits, new BlockStore(ALPCodec, _)),
+    Adapter("NeaTS", "sp", longs, ys => new NeaTSSeq(NeaTS.compress(ys))),
   )
 
   /** Compression-speed variants of NeaTS (Figure 2 discussion, §IV-C1). */
   val neatsVariants: Seq[Adapter] = Seq(
-    Adapter("LeaTS", "sp", ds => new NeaTSSeq(NeaTS.compressLinearOnly(ds.longs))),
-    Adapter("SNeaTS", "sp", ds => new NeaTSSeq(NeaTS.compressSelected(ds.longs))),
+    Adapter("LeaTS", "sp", longs, ys => new NeaTSSeq(NeaTS.compressLinearOnly(ys))),
+    Adapter("SNeaTS", "sp", longs, ys => new NeaTSSeq(NeaTS.compressSelected(ys))),
   )
 
   // ------------------------------------------------------------ measurements
@@ -114,13 +121,8 @@ object Harness {
   }
 
   /** Sanity: the decompressed payloads must equal the input payloads. */
-  def verifyLossless(adapter: Adapter, ds: Dataset): Boolean = {
-    val expected =
-      if (Set("Gorilla", "Chimp", "Chimp128", "TSXor", "ALP").contains(adapter.name))
-        Codec.doublesToBits(ds.values)
-      else ds.longs
-    adapter.build(ds).decompressAll().sameElements(expected)
-  }
+  def verifyLossless(adapter: Adapter, ds: Dataset): Boolean =
+    adapter.build(ds).decompressAll().sameElements(adapter.payload(ds))
 
   // -------------------------------------------------------------- Table II
 
@@ -135,31 +137,29 @@ object Harness {
     * (§IV-B), searched over the power-of-two grid. Our analogues have a
     * different noise-to-range profile than the originals, so re-running the
     * paper's procedure (rather than copying its eps%) keeps the experiment
-    * meaningful on our data.
+    * meaningful on our data. Returns that eps and NeaTS-L's size in bits at it.
     */
-  def epsFor(ds: Dataset): Long = {
+  def epsFor(ds: Dataset): (Long, Long) = {
     val losslessBits = NeaTS.compress(ds.longs).sizeInBits
-    val grid = NeaTS.epsGrid(ds.longs).filter(_ > 0)
-    grid.find { eps =>
-      val pieces = NeaTS.lossyPieces(ds.longs, eps)
-      pieces.map(p => Partitioner.lossyBits(p.kind)).sum < losslessBits
-    }.getOrElse(grid.last)
+    val sized = NeaTS.epsGrid(ds.longs).filter(_ > 0).to(LazyList).map { eps =>
+      eps -> NeaTS.lossyPieces(ds.longs, eps).map(p => Partitioner.lossyBits(p.kind)).sum
+    }
+    sized.find(_._2 < losslessBits).getOrElse(sized.last)
   }
 
   def measureLossy(ds: Dataset): LossyRow = {
-    val eps = epsFor(ds)
+    val (eps, neatsBits) = epsFor(ds)
     val origBits = ds.n.toLong * 64
     val shift = NeaTS.shiftFor(ds.longs, eps)
 
     val (plaFits, plaNs) = bestOf(3)(PLA.partition(ds.longs, eps))
     val (aaFrags, aaNs) = bestOf(3)(AdaptiveApprox.partition(ds.longs, shift, eps))
-    val (neatsPieces, neatsNs) = bestOf(3)(NeaTS.lossyPieces(ds.longs, eps))
+    val (_, neatsNs) = bestOf(3)(NeaTS.lossyPieces(ds.longs, eps))
 
     val plaBits = PLA.sizeBits(plaFits)
     val aaBits = AdaptiveApprox.sizeBits(aaFrags)
-    val neatsBits = neatsPieces.map(p => Partitioner.lossyBits(p.kind)).sum
 
-    def mape(approx: Int => Double): Double = {
+    def mape(approx: Array[Double]): Double = {
       var acc = 0.0
       var cnt = 0
       var i = 0
@@ -170,34 +170,21 @@ object Harness {
       }
       100.0 * acc / math.max(1, cnt)
     }
-    val plaStarts = plaFits.map(_.start)
-    val aaStarts = aaFrags.map(_.start)
-    val neatsStarts = neatsPieces.map(_.start)
-    val plaEval = (i: Int) => plaFits(idxOf(plaStarts, i)).eval(i)
-    val aaEval = (i: Int) => aaFrags(idxOf(aaStarts, i)).eval(i) - shift
-    // NeaTS-L's output is what `compressLossy(…).decompressAll()` returns
-    val neatsEval = (i: Int) => (neatsPieces(idxOf(neatsStarts, i)).approx(i) - shift).toDouble
+    // PLA's and AA's fragments tile [0, n) in order, so one walk lists their approximations
+    val plaApprox = plaFits.flatMap(f => (f.start until f.end).map(f.eval)).toArray
+    val aaApprox = aaFrags.flatMap(f => (f.start until f.end).map(f.eval(_) - shift)).toArray
+    val neatsApprox = NeaTS.compressLossy(ds.longs, eps).decompressAll().map(_.toDouble)
     val bytes = ds.n.toDouble * 8
     LossyRow(
       ds.name, eps, 100.0 * eps / math.max(1L, ds.valueRange),
       aaPct = aaBits * 100.0 / origBits,
       plaPct = plaBits * 100.0 / origBits,
       neatsPct = neatsBits * 100.0 / origBits,
-      aaMape = mape(aaEval), plaMape = mape(plaEval), neatsMape = mape(neatsEval),
+      aaMape = mape(aaApprox), plaMape = mape(plaApprox), neatsMape = mape(neatsApprox),
       aaCompressMBs = bytes / 1e6 / (aaNs / 1e9),
       plaCompressMBs = bytes / 1e6 / (plaNs / 1e9),
       neatsCompressMBs = bytes / 1e6 / (neatsNs / 1e9),
     )
-  }
-
-  private def idxOf(starts: Seq[Int], i: Int): Int = {
-    var lo = 0
-    var hi = starts.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) <= i) lo = mid else hi = mid - 1
-    }
-    lo
   }
 
   // ---------------------------------------------------------- range queries
@@ -206,12 +193,9 @@ object Harness {
 
   /** Figure-4-style range throughput for the random-access leaders. */
   def measureRange(ds: Dataset, rangeSizes: Seq[Int], queries: Int = 500): Seq[RangeRow] = {
-    val contenders: Seq[(String, CompressedSeq)] = Seq(
-      "NeaTS" -> new NeaTSSeq(NeaTS.compress(ds.longs)),
-      "DAC" -> DAC.compress(ds.longs),
-      "ALP" -> new BlockStore(ALPCodec, Codec.doublesToBits(ds.values)),
-      "Lz4" -> new BlockStore(Lz4Codec, ds.longs),
-    )
+    val contenders: Seq[(String, CompressedSeq)] = Seq("NeaTS", "DAC", "ALP", "Lz4").map { name =>
+      name -> losslessAdapters.find(_.name == name).get.build(ds)
+    }
     val rng = new java.util.Random(31)
     // Warm every contender's decode path before the first measurement (the
     // smallest range size is measured first and would otherwise pay JIT).

@@ -40,7 +40,7 @@ object NeaTS {
 
   /** Lossless compression with the given kinds over the eps grid. */
   def compress(ys: Array[Long], kinds: Seq[FunctionKind] = defaultKinds): NeaTSCompressed = {
-    val eps = epsGrid(ys).distinct.sorted
+    val eps = epsGrid(ys)
     val shift = shiftFor(ys, eps.max)
     val pieces = Partitioner.lossless(ys, shift, kinds, eps)
     NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = false))
@@ -63,7 +63,7 @@ object NeaTS {
     * pair as a safety net if none is linear.
     */
   private[neats] def selectedPairs(ys: Array[Long]): Seq[(FunctionKind, Long)] = {
-    val eps = epsGrid(ys).distinct.sorted
+    val eps = epsGrid(ys)
     val shift = shiftFor(ys, eps.max)
     val sampleLen = math.max(64, math.min(ys.length, (ys.length * 0.10).toInt))
     val samplePieces = Partitioner.lossless(ys.take(sampleLen), shift, defaultKinds, eps)

@@ -16,7 +16,7 @@ import repro.sparkts.NeaTSFiles
   * was written from, word for word.
   */
 class BlobFormatSpec extends SparkSpec {
-  import java.lang.Double.doubleToRawLongBits
+  import PinSpec.{layout, variants}
 
   private val data = TimeSeries.dataset("US", 600).longs
   private val blob = NeaTS.compress(data).toBytes
@@ -109,13 +109,6 @@ class BlobFormatSpec extends SparkSpec {
     }
   }
 
-  private val variants: Seq[(String, Array[Long] => NeaTSCompressed)] = Seq(
-    "NeaTS" -> (ys => NeaTS.compress(ys)),
-    "LeaTS" -> NeaTS.compressLinearOnly,
-    "SNeaTS" -> NeaTS.compressSelected,
-    "NeaTS-L" -> (ys => NeaTS.compressLossy(ys, 15)),
-  )
-
   /** Lengths 0, 1, 2 or up to 1,500; a random walk or an analogue window;
     * as is or lifted by 2^30.
     */
@@ -138,21 +131,15 @@ class BlobFormatSpec extends SparkSpec {
     ys.map(_ + lift)
   }
 
-  /** The in-memory layout: n, shift, S/B/O/K values, C words and P raw bits. */
-  private def layout(c: NeaTSCompressed): Seq[Seq[Long]] =
-    Seq(Seq(c.n.toLong, c.shift, c.sizeInBits, c.c.lengthInBits),
-        c.s.toArray.toSeq, c.b.toArray.toSeq, c.o.toArray.toSeq, c.k.toArray.toSeq.map(_.toLong),
-        c.c.words.toSeq) ++ c.p.map(_.toSeq.map(doubleToRawLongBits))
-
   /** The variants whose loaded blob differs from what was written. */
   private def reloadsDiffer(ys: Array[Long]): Seq[String] =
-    variants.filterNot { case (_, compress) =>
-      val c = compress(ys)
+    variants.filterNot { v =>
+      val c = v.compress(ys)
       val bytes = c.toBytes
       val loaded = NeaTSCompressed.fromBytes(bytes)
       layout(loaded) == layout(c) && loaded.toBytes.sameElements(bytes) &&
         loaded.decompressAll().sameElements(c.decompressAll())
-    }.map(_._1)
+    }.map(_.name)
 
   test("loading a blob of 0, 1 or 2 values rebuilds its layout") {
     for (ys <- Seq(Array.empty[Long], Array(7L), Array(7L, -3L)); lift <- Seq(0L, 1L << 30))
