@@ -94,23 +94,29 @@ object Harness {
     */
   private val BlockStoreQueries = 1000
 
+  /** One Table III cell. Outside the timed calls, the full decode and every
+    * random-access answer are compared with `adapter.payload(ds)`; a wrong
+    * value fails the measurement.
+    */
   def measureLossless(adapter: Adapter, ds: Dataset, raQueries: Int = 20000): LosslessRow = {
     val bytes = ds.n.toDouble * 8
     val (compressed, cNs) = bestOf(3)(adapter.build(ds))
     val (decoded, dNs) = bestOf(3)(compressed.decompressAll())
-    require(decoded.length == ds.n, s"${adapter.name} decoded wrong length on ${ds.name}")
+    val payload = adapter.payload(ds)
+    require(decoded.sameElements(payload), s"${adapter.name} decoded wrong values on ${ds.name}")
     val rng = new java.util.Random(97)
     val nQueries = compressed match {
       case _: BlockStore => math.min(raQueries, BlockStoreQueries)
       case _ => raQueries
     }
     val queries = Array.fill(nQueries)(rng.nextInt(ds.n))
-    var sink = 0L
+    val answers = new Array[Long](nQueries)
     val (_, raNs) = bestOf(3) {
       var i = 0
-      while (i < queries.length) { sink ^= compressed.get(queries(i)); i += 1 }
+      while (i < queries.length) { answers(i) = compressed.get(queries(i)); i += 1 }
     }
-    if (sink == 42L) println("") // keep the sink live
+    val wrong = queries.indices.find(i => answers(i) != payload(queries(i)))
+    require(wrong.isEmpty, s"${adapter.name} answered get(${queries(wrong.get)}) wrongly on ${ds.name}")
     LosslessRow(
       adapter.name, adapter.family, ds.name, ds.n,
       ratioPct = compressed.sizeInBits * 100.0 / (ds.n.toLong * 64),
@@ -142,7 +148,8 @@ object Harness {
   def epsFor(ds: Dataset): (Long, Long) = {
     val losslessBits = NeaTS.compress(ds.longs).sizeInBits
     val sized = NeaTS.epsGrid(ds.longs).filter(_ > 0).to(LazyList).map { eps =>
-      eps -> NeaTS.lossyPieces(ds.longs, eps).map(p => Partitioner.lossyBits(p.kind)).sum
+      val pieces = NeaTS.lossyPieces(ds.longs, NeaTS.shiftFor(ds.longs, eps), eps)
+      eps -> pieces.map(p => Partitioner.lossyBits(p.kind)).sum
     }
     sized.find(_._2 < losslessBits).getOrElse(sized.last)
   }
@@ -154,7 +161,7 @@ object Harness {
 
     val (plaFits, plaNs) = bestOf(3)(PLA.partition(ds.longs, eps))
     val (aaFrags, aaNs) = bestOf(3)(AdaptiveApprox.partition(ds.longs, shift, eps))
-    val (_, neatsNs) = bestOf(3)(NeaTS.lossyPieces(ds.longs, eps))
+    val (neatsPieces, neatsNs) = bestOf(3)(NeaTS.lossyPieces(ds.longs, shift, eps))
 
     val plaBits = PLA.sizeBits(plaFits)
     val aaBits = AdaptiveApprox.sizeBits(aaFrags)
@@ -173,7 +180,7 @@ object Harness {
     // PLA's and AA's fragments tile [0, n) in order, so one walk lists their approximations
     val plaApprox = plaFits.flatMap(f => (f.start until f.end).map(f.eval)).toArray
     val aaApprox = aaFrags.flatMap(f => (f.start until f.end).map(f.eval(_) - shift)).toArray
-    val neatsApprox = NeaTS.compressLossy(ds.longs, eps).decompressAll().map(_.toDouble)
+    val neatsApprox = NeaTSCompressed.build(ds.longs, shift, neatsPieces).decompressAll().map(_.toDouble)
     val bytes = ds.n.toDouble * 8
     LossyRow(
       ds.name, eps, 100.0 * eps / math.max(1L, ds.valueRange),

@@ -4,7 +4,8 @@ package repro.core.bits
   * access.
   *
   * The cell width is chosen by the caller (typically just enough for the
-  * largest stored value, as the NeaTS layout prescribes for S/B/K/P). The
+  * largest stored value). The NeaTS layout holds B, the correction widths,
+  * in one, and every Elias-Fano sequence its low bits. The
   * packed cells are `ceil(length * width / 64)` words, read in place by
   * the static kernel [[FixedWidthArray.get]].
   */

@@ -52,19 +52,18 @@ object NeaTS {
 
   /** SNeaTS: compress with just the [[selectedPairs]]. */
   def compressSelected(ys: Array[Long]): NeaTSCompressed = {
-    val shift = shiftFor(ys, epsGrid(ys).max)
-    val pairs = selectedPairs(ys)
-    val pieces = Partitioner.run(ys, shift, pairs.map(_._1).toArray, pairs.map(_._2).toArray, lossy = false)
+    val eps = epsGrid(ys)
+    val shift = shiftFor(ys, eps.max)
+    val pieces = Partitioner.run(ys, shift, selectedPairs(ys, shift, eps), lossy = false)
     NeaTSCompressed.build(ys, shift, repair(ys, shift, pieces, lossy = false))
   }
 
   /** SNeaTS's model selection: run Algorithm 1 on the first 10% of the
     * series and keep the top-5 most-used (kind, eps) pairs, adding a linear
-    * pair as a safety net if none is linear.
+    * pair as a safety net if none is linear. `shift` and `eps` are the whole
+    * series' [[shiftFor]] and [[epsGrid]].
     */
-  private[neats] def selectedPairs(ys: Array[Long]): Seq[(FunctionKind, Long)] = {
-    val eps = epsGrid(ys)
-    val shift = shiftFor(ys, eps.max)
+  private[neats] def selectedPairs(ys: Array[Long], shift: Long, eps: Seq[Long]): Seq[(FunctionKind, Long)] = {
     val sampleLen = math.max(64, math.min(ys.length, (ys.length * 0.10).toInt))
     val samplePieces = Partitioner.lossless(ys.take(sampleLen), shift, defaultKinds, eps)
     val counts = samplePieces
@@ -79,23 +78,24 @@ object NeaTS {
     * the same layout with zero-width corrections (decompression returns the
     * approximation, max error <= eps).
     */
-  def compressLossy(ys: Array[Long], eps: Long): NeaTSCompressed =
-    NeaTSCompressed.build(ys, shiftFor(ys, eps), lossyPieces(ys, eps))
-
-  /** Lossy partition only (for Table II size accounting and MAPE). */
-  def lossyPieces(ys: Array[Long], eps: Long): Vector[Piece] = {
+  def compressLossy(ys: Array[Long], eps: Long): NeaTSCompressed = {
     val shift = shiftFor(ys, eps)
-    repair(ys, shift, Partitioner.lossyPartition(ys, shift, defaultKinds, eps), lossy = true)
+    NeaTSCompressed.build(ys, shift, lossyPieces(ys, shift, eps))
   }
+
+  /** NeaTS-L's pieces at `shift` = `shiftFor(ys, eps)` (for Table II). */
+  def lossyPieces(ys: Array[Long], shift: Long, eps: Long): Vector[Piece] =
+    repair(ys, shift, Partitioner.run(ys, shift, defaultKinds.map(_ -> eps), lossy = true), lossy = true)
 
   /** Floating-point safety net: the convex fitting runs on doubles, so a
     * correction can in rare cases land just outside [-eps, eps]. Verify each
-    * piece; at the first violation, keep the valid prefix, re-fit the tail
-    * with the same (kind, eps), and (for an immediate violation) fall back to
-    * an exact single-point linear piece. Only ever splits pieces, preserving
-    * correctness. With the rebase in `shiftFor` it is rarely needed: on
-    * series lifted by 2^24 to 2^30 (the offset benchmark, seed 1) it split
-    * 34,187 pieces when fits ran on the lifted values, and none since.
+    * piece; at the first violation, keep the valid prefix (or, for an
+    * immediate violation, an exact single-point linear piece) and refit the
+    * rest with the same (kind, eps), piece after piece, until the original
+    * piece's end. Only ever splits pieces, preserving correctness. With the
+    * rebase in `shiftFor` it is rarely needed: on series lifted by 2^24 to
+    * 2^30 (the offset benchmark, seed 1) it split 34,187 pieces when fits
+    * ran on the lifted values, and none since.
     */
   private[neats] def repair(ys: Array[Long], shift: Long,
                             pieces: Vector[Piece], lossy: Boolean): Vector[Piece] = {
@@ -103,38 +103,18 @@ object NeaTS {
     val region = new FeasibleRegion
     pieces.foreach { piece =>
       var cur = piece
-      var doneWithPiece = false
-      while (!doneWithPiece) {
+      while (cur != null) {
         var v = cur.start
-        var violation = -1
-        while (v < cur.end && violation < 0) {
-          if (math.abs((ys(v) + shift) - cur.approx(v)) > cur.eps) violation = v
-          v += 1
-        }
-        if (violation < 0) { out += cur; doneWithPiece = true }
-        else if (violation > cur.start) {
-          out += cur.copy(end = violation)
-          cur = refit(ys, shift, violation, cur.end, cur.kind, cur.eps, lossy, region)
-        } else {
-          // violation at the very first point: exact constant (linear) piece
-          out += Piece(cur.start, cur.start + 1, LinearKind,
-                       0.0, (ys(cur.start) + shift).toDouble, 0.0,
-                       cur.eps, if (lossy) 0 else Partitioner.corrBits(cur.eps))
-          if (cur.start + 1 < cur.end)
-            cur = refit(ys, shift, cur.start + 1, cur.end, cur.kind, cur.eps, lossy, region)
-          else doneWithPiece = true
-        }
+        while (v < cur.end && math.abs((ys(v) + shift) - cur.approx(v)) <= cur.eps) v += 1
+        // the verified prefix or, at a violation on the first point, an exact constant piece
+        out += (if (v > cur.start) cur.copy(end = v)
+                else cur.copy(end = v + 1, kind = LinearKind, m = 0.0, b = (ys(v) + shift).toDouble, p3 = 0.0))
+        val next = out.last.end
+        cur = if (next < piece.end)
+          Partitioner.refit(ys, shift, next, next, piece.end, piece.kind, piece.eps, lossy, region)
+        else null
       }
     }
     out.toVector
-  }
-
-  private def refit(ys: Array[Long], shift: Long, start: Int, end: Int,
-                    kind: FunctionKind, eps: Long, lossy: Boolean,
-                    region: FeasibleRegion): Piece = {
-    val fit = ConvexFit.longestFragment(ys, shift, start, kind, eps, region)
-    val e = math.max(start + 1, math.min(fit.end, end))
-    Piece(start, e, kind, fit.m, fit.b, fit.p3, eps,
-          if (lossy) 0 else Partitioner.corrBits(eps))
   }
 }

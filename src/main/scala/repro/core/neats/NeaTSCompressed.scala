@@ -171,9 +171,19 @@ final class NeaTSCompressed(
 
 object NeaTSCompressed {
 
-  /** Assemble the layout from the partitioner's pieces and the raw values. */
+  /** Assemble the layout from the partitioner's pieces and the raw values.
+    * The pieces must tile [0, n): the first starts at 0, each starts where
+    * the one before ends, and the last ends at n.
+    */
   def build(ys: Array[Long], shift: Long, pieces: Vector[Piece]): NeaTSCompressed = {
     val m = pieces.length
+    var covered = 0
+    pieces.foreach { piece =>
+      require(piece.start == covered && piece.end > piece.start,
+        s"piece [${piece.start}, ${piece.end}) does not follow the points [0, $covered) before it")
+      covered = piece.end
+    }
+    require(covered == ys.length, s"the pieces cover [0, $covered) of ${ys.length} points")
     val starts = pieces.map(_.start.toLong).toArray
     val widths = pieces.map(_.corrBits.toLong).toArray
     val kinds = pieces.map(_.kind.id).toArray

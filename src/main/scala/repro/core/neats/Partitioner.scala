@@ -44,6 +44,9 @@ object Partitioner {
     */
   def lossyBits(kind: FunctionKind): Long = 64L * kind.nParams + 32L
 
+  /** Bits per point of a piece with error bound eps: none when lossy. */
+  private[neats] def pointBits(eps: Long, lossy: Boolean): Int = if (lossy) 0 else corrBits(eps)
+
   private val Inf = Long.MaxValue / 4
 
   /** Lossless partitioning over every (kind, eps) in kinds x epsilons
@@ -52,18 +55,13 @@ object Partitioner {
   def lossless(ys: Array[Long], shift: Long,
                kinds: Seq[FunctionKind], epsilons: Seq[Long]): Vector[Piece] = {
     val eps = epsilons.distinct.sorted
-    run(ys, shift, kinds.flatMap(f => eps.map(_ => f)).toArray, kinds.flatMap(_ => eps).toArray, lossy = false)
+    run(ys, shift, kinds.flatMap(f => eps.map(f -> _)), lossy = false)
   }
-
-  /** Lossy partitioning (single eps; weights are [[lossyBits]]). */
-  def lossyPartition(ys: Array[Long], shift: Long,
-                     kinds: Seq[FunctionKind], eps: Long): Vector[Piece] =
-    run(ys, shift, kinds.toArray, kinds.map(_ => eps).toArray, lossy = true)
 
   /** DAG nodes per block of the pipelined chain fill (see [[Chains]]). */
   private[neats] final val BlockNodes = 1024
 
-  /** Algorithm 1 over the (pairKind(p), pairEps(p)) pairs.
+  /** Algorithm 1 over the (kind, eps) `pairs`.
     *
     * Each pair's live approximation is two ints, its start and end, taken
     * from [[Chains]] at the node where the last one died. A node remembers
@@ -72,15 +70,16 @@ object Partitioner {
     * refitted from those starts, with the same `longestFragment` call the
     * chain made, so their parameters are the chain fits' bit for bit.
     */
-  private[neats] def run(ys: Array[Long], shift: Long, pairKind: Array[FunctionKind],
-                         pairEps: Array[Long], lossy: Boolean): Vector[Piece] = {
+  private[neats] def run(ys: Array[Long], shift: Long, pairs: Seq[(FunctionKind, Long)],
+                         lossy: Boolean): Vector[Piece] = {
     val n = ys.length
     if (n == 0) return Vector.empty
-    require(pairKind.nonEmpty, "need at least one (kind, eps) pair")
+    require(pairs.nonEmpty, "need at least one (kind, eps) pair")
+    val (pairKind, pairEps) = pairs.toArray.unzip
     val nP = pairKind.length
     val liveStart = new Array[Int](nP)
     val liveEnd = new Array[Int](nP) // 0: every pair is refreshed at node 0
-    val bitsPerPoint = pairEps.map(e => if (lossy) 0L else corrBits(e).toLong)
+    val bitsPerPoint = pairEps.map(pointBits(_, lossy).toLong)
     val kap = pairKind.map(f => if (lossy) lossyBits(f) else kappa(f))
 
     val chains = new Chains(ys, shift, pairKind, pairEps)
@@ -139,13 +138,20 @@ object Partitioner {
     java.util.stream.IntStream.range(0, ends.length).parallel().forEach { q =>
       val j = ends(q)
       val p = prevPair(j)
-      val start = prevStart(j)
-      val e = pairEps(p)
-      val f = ConvexFit.longestFragment(ys, shift, start, pairKind(p), e, new FeasibleRegion)
-      require(f.end >= j, s"refit of ${pairKind(p)} eps=$e from $start ends at ${f.end} < $j")
-      pieces(q) = Piece(prevNode(j), j, f.kind, f.m, f.b, f.p3, e, if (lossy) 0 else corrBits(e))
+      val piece = refit(ys, shift, prevStart(j), prevNode(j), j, pairKind(p), pairEps(p), lossy, new FeasibleRegion)
+      require(piece.end == j, s"refit of ${pairKind(p)} eps=${pairEps(p)} from ${prevStart(j)} ends at ${piece.end} < $j")
+      pieces(q) = piece
     }
     pieces.toVector
+  }
+
+  /** The piece [from, until) of (kind, eps)'s longest fragment from `start`
+    * <= `from`, or shorter (but not empty) where that fragment ends first.
+    */
+  private[neats] def refit(ys: Array[Long], shift: Long, start: Int, from: Int, until: Int,
+                           kind: FunctionKind, eps: Long, lossy: Boolean, region: FeasibleRegion): Piece = {
+    val f = ConvexFit.longestFragment(ys, shift, start, kind, eps, region)
+    Piece(from, math.max(from + 1, math.min(f.end, until)), kind, f.m, f.b, f.p3, eps, pointBits(eps, lossy))
   }
 }
 

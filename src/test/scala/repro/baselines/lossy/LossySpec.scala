@@ -57,7 +57,7 @@ class LossySpec extends SparkSpec {
       val ds = TimeSeries.dataset(name, 1500)
       val eps = math.max(1L, ds.valueRange / 100)
       val pla = PLA.sizeBits(PLA.partition(ds.longs, eps))
-      val pieces = NeaTS.lossyPieces(ds.longs, eps)
+      val pieces = NeaTS.lossyPieces(ds.longs, NeaTS.shiftFor(ds.longs, eps), eps)
       val neats = pieces.map(p => 64L * p.kind.nParams + 32L).sum
       assert(neats <= pla * 1.05, s"$name: NeaTS-L $neats > PLA $pla")
     }

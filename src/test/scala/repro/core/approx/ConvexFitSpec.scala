@@ -1,10 +1,8 @@
 package repro.core.approx
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.neats.NeaTS
 import repro.data.TimeSeries
 
@@ -107,9 +105,7 @@ class ConvexFitSpec extends SparkSpec {
       } yield s"$kind eps=$eps from $start: fitEnd $end, reference $want, longestFragment ${fit.end}"
       Prop(wrong.isEmpty) :| s"$name n=${ys.length}: ${wrong.take(3).mkString("; ")}"
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20261020L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+    FixedSeed.check(prop, 20261020L, cases = 100)
   }
 
   test("an exponential start with y - eps <= 0 ends where it starts") {

@@ -1,10 +1,8 @@
 package repro.core.approx
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.neats.NeaTS
 import repro.data.TimeSeries
 
@@ -68,10 +66,8 @@ class FeasibleRegionSpec extends SparkSpec {
       val bad = diffs.filterNot(_._2.exists(_ <= Tolerance))
       Prop(bad.isEmpty) :| s"n=${ys.length}: ${bad.take(3).mkString("; ")}"
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(150).withInitialSeed(Seed(20261019L))
-    val result = Test.check(params, prop)
-    info(f"largest relative parameter difference: $largest%.3g")
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+    try FixedSeed.check(prop, 20261019L, cases = 150)
+    finally info(f"largest relative parameter difference: $largest%.3g")
   }
 
   test("same end where bisection's probe order picked the segment") {

@@ -1,18 +1,8 @@
 package repro.core.bits
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
-
-/** Runs a property for a fixed seed, so that every run checks the same cases. */
-private object FixedSeed {
-  def check(prop: Prop, cases: Int = 200): Test.Result =
-    Test.check(Test.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(20261019L)), prop)
-
-  def report(result: Test.Result): String = Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams)
-}
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 
 class BitsSpec extends SparkSpec {
 
@@ -135,11 +125,10 @@ class BitVectorSpec extends SparkSpec {
     fixed.foreach(x => assert(selectsDiffer(x).isEmpty, f"word $x%016x"))
     val sparse = for (a <- Gen.long; b <- Gen.long; c <- Gen.long) yield a & b & c
     val words = Gen.oneOf(Gen.long, sparse, Gen.choose(0, 63).map(b => 1L << b), Gen.long.map(_ | (1L << 63)))
-    val result = FixedSeed.check(Prop.forAllNoShrink(words) { x =>
+    FixedSeed.check(Prop.forAllNoShrink(words) { x =>
       val differ = selectsDiffer(x)
       Prop(differ.isEmpty) :| f"word $x%016x, ranks ${differ.mkString(", ")}"
-    }, cases = 2000)
-    assert(result.passed, FixedSeed.report(result))
+    }, 20261019L, cases = 2000)
   }
 
   test("select bounds are enforced") {
@@ -216,7 +205,7 @@ class EliasFanoSpec extends SparkSpec {
   }
 
   test("predecessor equals (rank(v), apply(rank(v) - 1)) at and between the elements") {
-    val result = FixedSeed.check(Prop.forAllNoShrink(sequences) { vs =>
+    FixedSeed.check(Prop.forAllNoShrink(sequences) { vs =>
       val ef = EliasFano(vs)
       val probes = (vs.flatMap(v => Seq(v - 1, v, v + 1, v + (v >>> 1))) ++ Seq(0L, vs.last + 1000)).filter(_ >= 0)
       val wrong = probes.filterNot { v =>
@@ -226,8 +215,7 @@ class EliasFanoSpec extends SparkSpec {
           (pred >>> 32) == (if (rank == 0) 0L else ef(rank - 1) & 0xffffffffL)
       }
       Prop(wrong.isEmpty) :| s"n=${vs.length}, lowBits=${ef.lowBits}: wrong at ${wrong.take(5).mkString(", ")}"
-    })
-    assert(result.passed, FixedSeed.report(result))
+    }, 20261019L, cases = 200)
   }
 
   test("predecessor covers lowBits = 0 and sequences of one repeated value") {
@@ -268,7 +256,7 @@ class WaveletTreeSpec extends SparkSpec {
       val rng = new Random(seed)
       Array.fill(n)(if (skew && rng.nextInt(4) > 0) 3 else rng.nextInt(4))
     }
-    val result = FixedSeed.check(Prop.forAllNoShrink(strings) { symbols =>
+    FixedSeed.check(Prop.forAllNoShrink(strings) { symbols =>
       val wt = WaveletTree(symbols, 4)
       val counts = new Array[Int](4)
       val wrong = symbols.indices.filterNot { i =>
@@ -278,8 +266,7 @@ class WaveletTreeSpec extends SparkSpec {
         wt.inverseSelect(i) == want && wt(i) == sym && wt.rank(sym, i) == want.toInt
       }
       Prop(wrong.isEmpty) :| s"n=${symbols.length}: wrong at ${wrong.take(5).mkString(", ")}"
-    })
-    assert(result.passed, FixedSeed.report(result))
+    }, 20261019L, cases = 200)
   }
 
   test("every sigma but 4 and every symbol outside [0, 4) is rejected") {

@@ -3,10 +3,8 @@ package repro.core.neats
 import java.nio.{ByteBuffer, ByteOrder}
 import java.util.Random
 import java.util.zip.CRC32C
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.bits.{EliasFano, WaveletTree}
 import repro.data.TimeSeries
 import repro.sparkts.NeaTSFiles
@@ -151,8 +149,6 @@ class BlobFormatSpec extends SparkSpec {
       val differ = reloadsDiffer(ys)
       Prop(differ.isEmpty) :| s"n=${ys.length}: ${differ.mkString(", ")} differ"
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20261019L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+    FixedSeed.check(prop, 20261019L, cases = 100)
   }
 }

@@ -1,10 +1,8 @@
 package repro.core.neats
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.approx._
 import repro.data.TimeSeries
 
@@ -53,7 +51,7 @@ class PartitionerSpec extends SparkSpec {
     val ys = randomWalk(1000, 19)
     val eps = 16L
     val shift = NeaTS.shiftFor(ys, eps)
-    val pieces = Partitioner.lossyPartition(ys, shift, FunctionKind.all, eps)
+    val pieces = Partitioner.run(ys, shift, FunctionKind.all.map(_ -> eps), lossy = true)
     checkPartition(ys, shift, pieces)
     assert(pieces.forall(_.corrBits === 0))
     // lossy optimum (by lossyBits) must not exceed greedy linear fragment storage
@@ -230,8 +228,7 @@ class NeaTSSpec extends SparkSpec {
       Prop(c.decompressAll().sameElements(ys) && bad.isEmpty) :|
         s"${pieces.length} pieces, n=${ys.length}, shift=$shift, first bad index ${bad.getOrElse(-1)}"
     }
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(20261019L)), prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+    FixedSeed.check(prop, 20261019L, cases = 200)
   }
 
   test("serialization roundtrips") {
@@ -261,7 +258,9 @@ class NeaTSSpec extends SparkSpec {
 
   test("SNeaTS fits only the (kind, eps) pairs it selects") {
     val failures = TimeSeries.benchmarks().flatMap { ds =>
-      val selected = NeaTS.selectedPairs(ds.longs).map { case (kind, eps) => (kind.id, Partitioner.corrBits(eps).toLong) }
+      val grid = NeaTS.epsGrid(ds.longs)
+      val pairs = NeaTS.selectedPairs(ds.longs, NeaTS.shiftFor(ds.longs, grid.max), grid)
+      val selected = pairs.map { case (kind, eps) => (kind.id, Partitioner.corrBits(eps).toLong) }
       assert(selected.length <= 6)
       val c = NeaTS.compressSelected(ds.longs)
       val unselected = (0 until c.numFragments).map(f => (c.k(f), c.b(f))).distinct.filterNot(selected.contains)
@@ -292,8 +291,8 @@ class NeaTSSpec extends SparkSpec {
     test(s"lossy pieces respect the bound on dataset analogue $ds") {
       val data = TimeSeries.dataset(ds, 1000)
       val eps = math.max(1L, data.valueRange / 200)
-      val pieces = NeaTS.lossyPieces(data.longs, eps)
       val shift = NeaTS.shiftFor(data.longs, eps)
+      val pieces = NeaTS.lossyPieces(data.longs, shift, eps)
       pieces.foreach { p =>
         (p.start until p.end).foreach { i =>
           assert(math.abs(p.approx(i) - (data.longs(i) + shift)) <= eps, s"piece at $i")
@@ -361,6 +360,25 @@ class NeaTSSpec extends SparkSpec {
       (p.start until p.end).foreach { i =>
         assert(math.abs(ys(i) - p.approx(i)) <= p.eps)
       }
+    }
+  }
+
+  test("repair refits until each piece's end and build rejects pieces that do not tile the series") {
+    // At eps = 2 no fit spans three points alternating 0 and 1000, so every
+    // refit of a bad piece ends long before the piece does.
+    val ys = Array.tabulate(100)(i => if (i % 2 == 0) 0L else 1000L)
+    val shift = NeaTS.shiftFor(ys, 2)
+    for (kind <- FunctionKind.all) withClue(kind) {
+      val bad = Vector(Piece(0, 60, kind, 0.0, 0.0, 0.0, 2, Partitioner.corrBits(2)),
+                       Piece(60, 100, kind, 0.0, 0.0, 0.0, 2, Partitioner.corrBits(2)))
+      val repaired = NeaTS.repair(ys, shift, bad, lossy = false)
+      assert(repaired.map(_.start) === 0 +: repaired.init.map(_.end))
+      assert(repaired.last.end === 100)
+      val c = NeaTSCompressed.build(ys, shift, repaired)
+      assert(c.decompressAll().toSeq === ys.toSeq)
+      assert(ys.indices.map(c(_)) === ys.toSeq)
+      intercept[IllegalArgumentException](NeaTSCompressed.build(ys, shift, repaired.filterNot(_.start == 60)))
+      intercept[IllegalArgumentException](NeaTSCompressed.build(ys, shift, repaired.init))
     }
   }
 

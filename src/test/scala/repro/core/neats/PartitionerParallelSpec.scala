@@ -1,10 +1,8 @@
 package repro.core.neats
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.approx._
 
 /** The pipelined, block-parallel chain fill of Algorithm 1 against the
@@ -65,11 +63,7 @@ class PartitionerParallelSpec extends SparkSpec {
       eps <- Gen.atLeastOne(grid)
     } yield ((LinearKind +: kinds.toSeq).toSeq, eps.toSeq))
 
-  private def check(prop: Prop): Unit = {
-    val params = Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20251018L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
-  }
+  private def check(prop: Prop): Unit = FixedSeed.check(prop, 20251018L, cases = 100)
 
   test("lossless partition equals the sequential relaxation, piece for piece") {
     check(Prop.forAllNoShrink(series.flatMap(ys => pairs(NeaTS.epsGrid(ys)).map(ys -> _))) {
@@ -90,7 +84,7 @@ class PartitionerParallelSpec extends SparkSpec {
     } yield (ys, kindsAndEps._1, eps)
     check(Prop.forAllNoShrink(cases) { case (ys, kinds, eps) =>
       val shift = NeaTS.shiftFor(ys, eps)
-      val got = Partitioner.lossyPartition(ys, shift, kinds, eps)
+      val got = Partitioner.run(ys, shift, kinds.map(_ -> eps), lossy = true)
       val want = sequential(ys, shift, kinds, Seq(eps), lossy = true)
       Prop(got.map(bits) == want.map(bits)) :|
         s"n=${ys.length} kinds=$kinds eps=$eps: ${got.length} vs ${want.length} pieces"

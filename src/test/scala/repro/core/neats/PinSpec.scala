@@ -67,11 +67,11 @@ object PinSpec {
       Partitioner.lossless(ys, NeaTS.shiftFor(ys, eps.max), Seq(LinearKind), eps)
     }, NeaTS.compressLinearOnly),
     Variant("SNeaTS", { ys =>
-      val pairs = NeaTS.selectedPairs(ys)
-      Partitioner.run(ys, NeaTS.shiftFor(ys, NeaTS.epsGrid(ys).max), pairs.map(_._1).toArray,
-                      pairs.map(_._2).toArray, lossy = false)
+      val eps = NeaTS.epsGrid(ys)
+      val shift = NeaTS.shiftFor(ys, eps.max)
+      Partitioner.run(ys, shift, NeaTS.selectedPairs(ys, shift, eps), lossy = false)
     }, NeaTS.compressSelected),
-    Variant("NeaTS-L", ys => Partitioner.lossyPartition(ys, NeaTS.shiftFor(ys, 15), NeaTS.defaultKinds, 15),
+    Variant("NeaTS-L", ys => Partitioner.run(ys, NeaTS.shiftFor(ys, 15), NeaTS.defaultKinds.map(_ -> 15L), lossy = true),
             ys => NeaTS.compressLossy(ys, 15)),
   )
 

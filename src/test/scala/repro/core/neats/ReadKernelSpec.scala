@@ -1,10 +1,8 @@
 package repro.core.neats
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.bits._
 
 /** The static kernels that Algorithm 3 and `range` call on the layout's
@@ -15,11 +13,7 @@ import repro.core.bits._
   */
 class ReadKernelSpec extends SparkSpec {
 
-  private def check(prop: Prop, cases: Int): Unit = {
-    val params = Test.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(20261020L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
-  }
+  private def check(prop: Prop, cases: Int): Unit = FixedSeed.check(prop, 20261020L, cases)
 
   /** Words of 1 to 40 superblocks at one of four densities, and a length
     * that leaves up to two words of garbage set past it.

@@ -1,10 +1,8 @@
 package repro.core.neats
 
 import java.util.Random
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{FixedSeed, SparkSpec}
 import repro.core.approx.FunctionKind
 import repro.data.TimeSeries
 
@@ -78,9 +76,7 @@ class RebaseSpec extends SparkSpec {
       Prop(same && got.decompressAll().sameElements(lifted)) :|
         s"n=${ys.length} c=$c: ${got.numFragments} vs ${want.numFragments} fragments"
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20251019L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(Pretty.prettyTestRes(result), Pretty.defaultParams))
+    FixedSeed.check(prop, 20251019L, cases = 100)
   }
 
   private def roundTrips(ys: Array[Long]): Unit = {
