@@ -135,27 +135,30 @@ object ALPCodec extends BlockCodec {
     bos.toByteArray
   }
 
+  /** The stream's length in bits, its word count and its little-endian image. */
   private def writeBits(out: java.io.DataOutputStream, w: BitWriter): Unit = {
-    val words = w.words
+    val image = w.image
     out.writeLong(w.lengthInBits)
-    out.writeInt(words.length)
-    words.foreach(out.writeLong)
+    out.writeInt(image.length / 8)
+    out.write(image)
   }
 
-  private def readBits(in: java.io.DataInputStream): BitReader = {
-    val bits = in.readLong()
-    val nWords = in.readInt()
-    val words = Array.fill(nWords)(in.readLong())
-    new BitReader(words, bits)
+  /** A reader over the image of [[writeBits]], where it sits in the block. */
+  private def readBits(in: java.nio.ByteBuffer): BitReader = {
+    val bits = in.getLong()
+    val nWords = in.getInt()
+    val r = new BitReader(in.array, in.position(), bits)
+    in.position(in.position() + 8 * nWords)
+    r
   }
 
   def decompressBlock(bytes: Array[Byte], count: Int): Array[Long] = {
-    val in = new java.io.DataInputStream(new java.io.ByteArrayInputStream(bytes))
-    val mode = in.readByte()
+    val in = java.nio.ByteBuffer.wrap(bytes) // big-endian, as DataOutputStream writes
+    val mode = in.get()
     if (mode == 0) {
-      val e = in.readByte().toInt
-      val minD = in.readLong()
-      val width = in.readByte().toInt
+      val e = in.get().toInt
+      val minD = in.getLong()
+      val width = in.get().toInt
       val r = readBits(in)
       val out = new Array[Long](count)
       var i = 0
@@ -164,18 +167,18 @@ object ALPCodec extends BlockCodec {
         out(i) = java.lang.Double.doubleToRawLongBits(d.toDouble / pow10(e))
         i += 1
       }
-      val nExc = in.readShort().toInt
+      val nExc = in.getShort().toInt
       var x = 0
       while (x < nExc) {
-        val p = in.readShort().toInt
-        out(p) = in.readLong()
+        val p = in.getShort().toInt
+        out(p) = in.getLong()
         x += 1
       }
       out
     } else {
-      val l = in.readByte().toInt
-      val dictLen = in.readByte().toInt
-      val dict = Array.fill(dictLen)(in.readLong())
+      val l = in.get().toInt
+      val dictLen = in.get().toInt
+      val dict = Array.fill(dictLen)(in.getLong())
       val r = 64 - l
       val codes = readBits(in)
       val rights = readBits(in)
@@ -187,11 +190,11 @@ object ALPCodec extends BlockCodec {
         out(i) = (left << r) | rights.get(i.toLong * r, r)
         i += 1
       }
-      val nExc = in.readShort().toInt
+      val nExc = in.getShort().toInt
       var x = 0
       while (x < nExc) {
-        val p = in.readShort().toInt
-        val left = in.readLong()
+        val p = in.getShort().toInt
+        val left = in.getLong()
         out(p) = (left << r) | (out(p) & ((1L << r) - 1))
         x += 1
       }

@@ -124,7 +124,7 @@ object LeCo {
       b += 1
     }
     new LeCoCompressed(n, starts, slopes, intercepts, mins, widths,
-      new BitReader(w.words, w.lengthInBits), offsets)
+      w.reader, offsets)
   }
 
   /** Least-squares linear fit of values[s, e) against local index. */

@@ -1,20 +1,18 @@
 package repro.baselines.xor
 
-import repro.baselines.{BlockCodec, Codec}
+import repro.baselines.BlockCodec
 import repro.core.bits.{BitReader, BitWriter}
 
 /** Bit-stream <-> byte-array glue shared by the XOR-family codecs: the
-  * stream's little-endian words, cut to its last byte.
+  * stream's little-endian image, cut to its last byte.
   */
 private[baselines] object BitBytes {
   def toBytes(w: BitWriter): Array[Byte] =
-    java.util.Arrays.copyOf(Codec.longsToBytes(w.words), ((w.lengthInBits + 7) / 8).toInt)
+    java.util.Arrays.copyOf(w.image, ((w.lengthInBits + 7) / 8).toInt)
 
-  def reader(bytes: Array[Byte]): BitReader = {
-    val nWords = (bytes.length + 7) / 8
-    val words = Codec.bytesToLongs(java.util.Arrays.copyOf(bytes, nWords * 8), nWords)
-    new BitReader(words, bytes.length.toLong * 8)
-  }
+  /** A reader over the bytes, padded back to whole words. */
+  def reader(bytes: Array[Byte]): BitReader =
+    new BitReader(java.util.Arrays.copyOf(bytes, (bytes.length + 7) / 8 * 8), 0, bytes.length.toLong * 8)
 }
 
 /** Gorilla's XOR-of-consecutive-values compression [Pelkonen et al., VLDB'15]:

@@ -15,7 +15,10 @@ final class CorruptBlobException(message: String) extends RuntimeException(messa
 /** Blob format version 1: the words of the succinct structures of a
   * [[NeaTSCompressed]] as they sit in memory, in one little-endian image,
   * so that loading copies word arrays and wraps them instead of rebuilding
-  * Elias-Fano and wavelet structures from plain values.
+  * Elias-Fano and wavelet structures from plain values. C, the corrections
+  * and most of the bytes, is not copied at all: the loaded layout reads it
+  * where it sits in the blob, as a [[BitReader]] over the blob's array. C
+  * starts at a multiple of 8 bytes, so its word loads are aligned.
   *
   * Fields in order (`words(k)`: the ceil(k / 64) int64 words that hold k
   * bits, which is exactly what every in-memory word array holds):
@@ -46,7 +49,7 @@ private[neats] object BlobFormat {
   private def sizeOf(c: NeaTSCompressed): Int = {
     def ef(e: EliasFano) = 16L + 8L * (e.lows.words.length + e.highs.words.length)
     val bytes = HeaderBytes + ef(c.s) + 8L + 8L * c.b.words.length + ef(c.o) +
-      8L + 8L * c.c.words.length + 8L + 8L * (c.k.level0.words.length + c.k.level1.words.length) +
+      8L + c.c.imageLength + 8L + 8L * (c.k.level0.words.length + c.k.level1.words.length) +
       4L + c.p.map(4L + 8L * _.length).sum + CrcBytes
     require(bytes <= Int.MaxValue, s"blob of $bytes bytes does not fit in an array")
     bytes.toInt
@@ -72,7 +75,8 @@ private[neats] object BlobFormat {
     words(c.b.words, c.b.length.toLong * c.b.width)
     eliasFano(c.o)
     out.putLong(c.c.lengthInBits)
-    words(c.c.words, c.c.lengthInBits)
+    System.arraycopy(c.c.bytes, c.c.base, out.array, out.position(), c.c.imageLength)
+    out.position(out.position() + c.c.imageLength)
     out.putInt(c.k.length).putInt(FunctionKind.sigma)
     words(c.k.level0.words, c.k.length)
     words(c.k.level1.words, c.k.length)
@@ -115,6 +119,15 @@ private[neats] object BlobFormat {
       in.asLongBuffer().get(ws)
       in.position(in.position() + 8 * ws.length)
       ws
+    }
+
+    /** The words that hold `bits` bits, read where they sit in the blob. */
+    def image(bits: Long, what: String): BitReader = {
+      if (bits < 0) corrupt(s"$what has negative length $bits")
+      need(8 * wordsFor(bits), what)
+      val r = new BitReader(in.array, in.position(), bits)
+      in.position(in.position() + r.imageLength)
+      r
     }
 
     def doubles(count: Int, what: String): Array[Double] = {
@@ -165,7 +178,7 @@ private[neats] object BlobFormat {
     val b = in.fixedWidth(bLength, in.int("B"), "B")
     val o = in.eliasFano("O")
     val cBits = in.long("C")
-    val c = new BitReader(in.words(cBits, "C"), cBits)
+    val c = in.image(cBits, "C")
     val kLength = in.count("K")
     val sigma = in.int("K")
     if (sigma != FunctionKind.sigma) corrupt(s"K has sigma $sigma, expected ${FunctionKind.sigma}")

@@ -18,7 +18,16 @@ object NeaTS {
     */
   def epsGrid(ys: Array[Long]): Seq[Long] = {
     if (ys.isEmpty) return Seq(0L)
-    val delta = math.max(1L, ys.max - ys.min + 1)
+    var min = ys(0)
+    var max = ys(0)
+    var i = 1
+    while (i < ys.length) {
+      val y = ys(i)
+      if (y < min) min = y
+      if (y > max) max = y
+      i += 1
+    }
+    val delta = math.max(1L, max - min + 1)
     val maxExp = math.min(40, 64 - java.lang.Long.numberOfLeadingZeros(delta - 1).toInt) // ceil(log2 delta)
     0L +: (1 to math.max(1, maxExp)).map(k => (1L << k) - 1)
   }
@@ -35,7 +44,10 @@ object NeaTS {
     */
   def shiftFor(ys: Array[Long], epsMax: Long): Long = {
     if (ys.isEmpty) return 0L
-    epsMax + 1 - ys.min
+    var min = ys(0)
+    var i = 1
+    while (i < ys.length) { if (ys(i) < min) min = ys(i); i += 1 }
+    epsMax + 1 - min
   }
 
   /** Lossless compression with the given kinds over the eps grid. */

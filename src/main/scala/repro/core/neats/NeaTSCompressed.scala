@@ -23,13 +23,20 @@ import repro.core.bits._
   * the fixed alphabet of kinds.
   *
   * A lookup reads the word arrays, superblock counters and scalars of S,
-  * B, O, C and K's two levels from fields of its own and calls the
-  * structures' static kernels on them ([[EliasFano.predecessor]],
+  * B, O and K's two levels, and C's byte image, from fields of its own and
+  * calls the structures' static kernels on them ([[EliasFano.predecessor]],
   * [[WaveletTree.inverseSelect]], [[FixedWidthArray.get]],
   * [[EliasFano.get]], [[BitReader.getSigned]]), so that no call loads a
   * structure object, its bitvector and then its words in turn. They are
   * the structures' own arrays, so `sizeInBits` and the blob are unchanged,
   * and the structures' methods, which `range` calls, run the same kernels.
+  *
+  * C is a [[BitReader]] over a little-endian byte image. A layout that
+  * [[NeaTSCompressed.fromBytes]] loads reads C where it sits in the blob,
+  * so it keeps a reference to the blob's array, which must not be modified
+  * afterwards. Every read of C is checked to end inside C: with a valid
+  * checksum, a B or O that points past C raises [[CorruptBlobException]]
+  * instead of reading K's and P's bytes as corrections.
   */
 final class NeaTSCompressed(
     val n: Int,
@@ -60,7 +67,9 @@ final class NeaTSCompressed(
   private[this] val oLow = o.lows.words
   private[this] val oLowBits = o.lowBits
   private[this] val oLength = o.length
-  private[this] val cWords = c.words
+  private[this] val cBytes = c.bytes
+  private[this] val cBase = c.base
+  private[this] val cBits = c.lengthInBits
   private[this] val kLength = k.length
   private[this] val k0 = k.level0.words
   private[this] val k0Ranks = k.level0.blockRank
@@ -80,6 +89,13 @@ final class NeaTSCompressed(
 
   private def offsetOf(frag: Int): Long = EliasFano.get(oHigh, oHighRanks, oHighLength, oLow, oLowBits, oLength, frag)
 
+  /** Whether `count` corrections of `width` bits from bit `pos` lie in C. */
+  private def insideC(pos: Long, count: Int, width: Int): Boolean =
+    pos >= 0 && pos <= cBits - count.toLong * width
+
+  private def outsideC(pos: Long, count: Int, width: Int): Nothing =
+    throw new CorruptBlobException(s"$count corrections of $width bits at bit $pos run past C's $cBits bits")
+
   /** Algorithm 3: value at 0-based index idx. Allocation-free. */
   def apply(idx: Int): Long = {
     if (idx < 0 || idx >= n) Check.fail(s"index $idx out of [0, $n)")
@@ -94,16 +110,22 @@ final class NeaTSCompressed(
     val width = widthOf(frag)
     val corr =
       if (width == 0) 0L
-      else BitReader.getSigned(cWords, offsetOf(frag) + (idx - (pred >>> 32)) * width.toLong, width)
+      else {
+        val pos = offsetOf(frag) + (idx - (pred >>> 32)) * width.toLong
+        if (!insideC(pos, 1, width)) outsideC(pos, 1, width)
+        BitReader.getSigned(cBytes, cBase, pos, width)
+      }
     kind.approx(idx, pf(base), pf(base + 1), p3) + corr - shift
   }
 
   /** Decode points [from, until) of one fragment into out(outPos...): one
     * loop of [[FunctionKind.approx]] for every kind, then, only when the
-    * fragment has corrections, one pass that adds them. On paper data (fresh
-    * JDK 17 JVMs) this ran at 6.0 ns per value, against 7.3–7.6 with one copy
-    * of the first loop per kind and mostly 8.3–9.2 with per-kind loops that
-    * read each correction inline, so it is not specialised per kind.
+    * fragment has corrections, one pass that adds them through C's running
+    * word ([[BitReader.addSigned]]). On paper data (fresh JDK 17 JVMs) this
+    * ran at 6.0 ns per value, against 7.3–7.6 with one copy of the first loop
+    * per kind and mostly 8.3–9.2 with per-kind loops that read each
+    * correction inline, so it is not specialised per kind. The caller has
+    * checked that the corrections lie in C.
     */
   private def decodeRun(kind: FunctionKind, m0: Double, b0: Double, p3: Double,
                         from: Int, until: Int, width: Int, off0: Long,
@@ -115,15 +137,7 @@ final class NeaTSCompressed(
       out(pos) = kind.approx(i, m0, b0, p3) - sh
       i += 1; pos += 1
     }
-    if (width > 0) {
-      var off = off0
-      pos = outPos0
-      val end = outPos0 + (until - from)
-      while (pos < end) {
-        out(pos) += c.getSigned(off, width)
-        off += width; pos += 1
-      }
-    }
+    if (width > 0) BitReader.addSigned(cBytes, cBase, off0, width, out, outPos0, outPos0 + (until - from))
   }
 
   /** Algorithm 2: decompress the whole series. */
@@ -150,6 +164,7 @@ final class NeaTSCompressed(
       val p3 = if (kind.nParams == 3) pf(base + 2) else 0.0
       val width = b(frag).toInt
       val off = o(frag) + (i - start).toLong * width
+      if (width > 0 && !insideC(off, end - i, width)) outsideC(off, end - i, width)
       decodeRun(kind, pf(base), pf(base + 1), p3, i, end, width, off, out, written)
       written += end - i
       i = end
@@ -221,14 +236,15 @@ object NeaTSCompressed {
       EliasFano(starts),
       FixedWidthArray(widths, 6),
       EliasFano(offsets),
-      new BitReader(cw.words, cw.lengthInBits),
+      cw.reader,
       WaveletTree(kinds, FunctionKind.sigma),
       params.map(_.toArray),
     )
   }
 
   /** Load a blob of [[toBytes]]; throws [[CorruptBlobException]] on anything
-    * malformed, truncated or altered.
+    * malformed, truncated or altered. The layout reads C in place and keeps a
+    * reference to `bytes`: the caller must not modify the array afterwards.
     */
   def fromBytes(bytes: Array[Byte]): NeaTSCompressed = BlobFormat.read(bytes)
 }

@@ -15,7 +15,7 @@ class BitsSpec extends SparkSpec {
     }
     val bw = new BitWriter()
     items.foreach { case (v, w) => bw.append(v, w) }
-    val r = new BitReader(bw.words, bw.lengthInBits)
+    val r = bw.reader
     var pos = 0L
     items.foreach { case (v, w) =>
       assert(r.get(pos, w) === v, s"at pos $pos width $w")
@@ -29,7 +29,7 @@ class BitsSpec extends SparkSpec {
     val bits = Seq.fill(500)(rng.nextBoolean())
     val bw = new BitWriter()
     bits.foreach(bw.appendBit)
-    val r = new BitReader(bw.words, bw.lengthInBits)
+    val r = bw.reader
     bits.zipWithIndex.foreach { case (b, i) => assert(r.getBit(i.toLong) === b) }
   }
 
@@ -37,7 +37,7 @@ class BitsSpec extends SparkSpec {
     val bw = new BitWriter()
     val values = Seq((-3L, 3), (3L, 3), (-1L, 1), (0L, 5), (-128L, 8), (127L, 8), (-1000L, 11))
     values.foreach { case (v, w) => bw.append(v, w) }
-    val r = new BitReader(bw.words, bw.lengthInBits)
+    val r = bw.reader
     var pos = 0L
     values.foreach { case (v, w) =>
       assert(r.getSigned(pos, w) === v, s"value $v width $w")
@@ -49,7 +49,7 @@ class BitsSpec extends SparkSpec {
     val bw = new BitWriter()
     val vs = Seq(Long.MinValue, Long.MaxValue, -1L, 0L, 42L)
     vs.foreach(v => bw.append(v, 64))
-    val r = new BitReader(bw.words, bw.lengthInBits)
+    val r = bw.reader
     vs.zipWithIndex.foreach { case (v, i) => assert(r.get(i * 64L, 64) === v) }
   }
 

@@ -5,7 +5,7 @@ import java.util.Random
 import java.util.zip.CRC32C
 import org.scalacheck.{Gen, Prop}
 import repro.{FixedSeed, SparkSpec}
-import repro.core.bits.{EliasFano, WaveletTree}
+import repro.core.bits.{EliasFano, FixedWidthArray, WaveletTree}
 import repro.data.TimeSeries
 import repro.sparkts.NeaTSFiles
 
@@ -65,7 +65,7 @@ class BlobFormatSpec extends SparkSpec {
     val widerP = c.p.map(_ :+ 0.0)
     // K's sigma sits after the header, S, B, O, C and K's length
     def efBytes(e: EliasFano) = 16 + 8 * (e.lows.words.length + e.highs.words.length)
-    val sigmaAt = 24 + efBytes(c.s) + 8 + 8 * c.b.words.length + efBytes(c.o) + 8 + 8 * c.c.words.length + 4
+    val sigmaAt = 24 + efBytes(c.s) + 8 + 8 * c.b.words.length + efBytes(c.o) + 8 + c.c.imageLength + 4
     val sigma5 = {
       val bytes = c.toBytes
       val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
@@ -88,6 +88,28 @@ class BlobFormatSpec extends SparkSpec {
       "one parameter too many per kind" -> blobOf(p = widerP),
       "fragments start after 0" -> blobOf(s = EliasFano(frags.map(_ + 1))),
     ))
+  }
+
+  test("a blob with a valid checksum whose last width points past C fails typed, from decode and lookups") {
+    val c = NeaTS.compress(TimeSeries.dataset("ECG", 4000).longs)
+    val last = c.numFragments - 1
+    val widths = c.b.toArray
+    widths(last) += 5
+    val blob = new NeaTSCompressed(c.n, c.shift, c.s, FixedWidthArray(widths, 6), c.o, c.c, c.k, c.p).toBytes
+    val wider = NeaTSCompressed.fromBytes(blob)
+    // the lookups whose one extract ends past C's last bit
+    val (start, width) = (c.s(last), widths(last))
+    val past = (start.toInt until c.n).filter(i => c.o(last) + (i - start + 1) * width > c.c.lengthInBits)
+    assert(past.length >= 15)
+    def outcome(call: => Any): String =
+      try { call; "value" } catch {
+        case _: CorruptBlobException => "typed"
+        case e: Throwable => e.getClass.getName
+      }
+    assert(outcome(wider.decompressAll()) === "typed")
+    val lookups = (0 until c.n).map(i => outcome(wider(i)))
+    assert(lookups.toSet === Set("value", "typed"))
+    assert(lookups.indices.filter(lookups(_) == "typed") === past)
   }
 
   test("a corrupt row-group file fails to load with the typed error") {

@@ -151,6 +151,22 @@ class NeaTSSpec extends SparkSpec {
     }
   }
 
+  test("loading a blob allocates less than a quarter of its length: C is read in place") {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val data = TimeSeries.dataset("US", 20000)
+    val blob = NeaTS.compress(data.longs).toBytes
+    def loadBytes(calls: Int): Double = {
+      val before = mx.getCurrentThreadAllocatedBytes
+      var i = 0
+      while (i < calls) { NeaTSCompressed.fromBytes(blob); i += 1 }
+      (mx.getCurrentThreadAllocatedBytes - before).toDouble / calls
+    }
+    loadBytes(2000) // warm-up
+    val perLoad = loadBytes(1000)
+    assert(perLoad < 0.25 * blob.length, s"$perLoad B per load of a ${blob.length} B blob")
+    assert(NeaTSCompressed.fromBytes(blob).decompressAll().sameElements(data.longs))
+  }
+
   test("range scans agree with full decompression") {
     val data = TimeSeries.dataset("ECG", 2000)
     val c = NeaTS.compress(data.longs)

@@ -4,6 +4,7 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 import repro.SparkSpec
 import repro.core.approx.LinearKind
+import repro.core.bits.BitReader
 import repro.data.TimeSeries
 
 /** Pins, per variant (NeaTS, LeaTS, SNeaTS and NeaTS-L at eps = 15), what
@@ -89,13 +90,16 @@ object PinSpec {
     def hex: String = md.digest().map(b => f"${b & 0xff}%02x").mkString
   }
 
+  /** The 64-bit words of a bit reader's image, in order. */
+  def words(r: BitReader): Seq[Long] = (0 until r.imageLength / 8).map(i => r.get(64L * i, 64))
+
   /** The in-memory layout: n, shift, `sizeInBits`, C's length, then the
     * values of S, B, O and K, the words of C and the raw bits of every P_f.
     */
   def layout(c: NeaTSCompressed): Seq[Seq[Long]] =
     Seq(Seq(c.n.toLong, c.shift, c.sizeInBits, c.c.lengthInBits),
         c.s.toArray.toSeq, c.b.toArray.toSeq, c.o.toArray.toSeq, c.k.toArray.toSeq.map(_.toLong),
-        c.c.words.toSeq) ++ c.p.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+        words(c.c)) ++ c.p.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
 
   private def partitionSha256(v: Variant): String = {
     val h = new Sha256

@@ -98,6 +98,39 @@ class ReadKernelSpec extends SparkSpec {
     assert(lowBitsSeen === Set(false, true))
   }
 
+  test("BitReader.addSigned adds what getSigned reads, at widths 1 to 64, odd offsets and up to the image's last bit") {
+    check(Prop.forAllNoShrink(Gen.choose(1, 64), Gen.choose(1, 300), Gen.choose(0, 17), Gen.long) {
+      (width, n, before, seed) =>
+        val rng = new Random(seed)
+        val vs = Array.fill(n)(rng.nextLong() >> rng.nextInt(64))
+        // half the runs end on a word's last bit, half start at an odd offset
+        val at =
+          if (rng.nextBoolean()) (64 - n * width % 64) % 64 + 64 * rng.nextInt(2)
+          else 2 * rng.nextInt(64) + 1
+        val w = new BitWriter()
+        w.append(rng.nextLong(), at % 64)
+        w.append(rng.nextLong(), at - at % 64)
+        vs.foreach(v => w.append(v, width))
+        // the image ends where the array does, so a load past its last word throws
+        val image = w.image
+        val bytes = new Array[Byte](before + image.length)
+        rng.nextBytes(bytes)
+        System.arraycopy(image, 0, bytes, before, image.length)
+        val reader = new BitReader(bytes, before, w.lengthInBits)
+        val from = rng.nextInt(n)
+        val until = if (rng.nextBoolean()) n else from + rng.nextInt(n - from + 1)
+        val out = Array.fill(n)(rng.nextLong())
+        val want = out.clone()
+        (from until until).foreach(i => want(i) += reader.getSigned(at + i.toLong * width, width))
+        BitReader.addSigned(bytes, before, at + from.toLong * width, width, out, from, until)
+        val signed = vs.indices.forall(i =>
+          reader.getSigned(at + i.toLong * width, width) == (vs(i) << (64 - width)) >> (64 - width))
+        val bad = out.indices.filter(i => out(i) != want(i))
+        Prop(signed && bad.isEmpty && w.lengthInBits == at + n.toLong * width) :|
+          s"width $width, n $n, start bit $at, image at byte $before, [$from, $until): wrong at ${bad.take(5)}"
+    }, cases = 512)
+  }
+
   test("FixedWidthArray.get and BitReader.getSigned equal their methods and the values at widths 1 to 64") {
     check(Prop.forAllNoShrink(Gen.choose(1, 64), Gen.choose(1, 300), Gen.long) { (width, n, seed) =>
       val rng = new Random(seed)
@@ -112,10 +145,10 @@ class ReadKernelSpec extends SparkSpec {
       w.append(rng.nextLong(), rng.nextInt(64)) // start the cells at an odd offset
       val at = w.lengthInBits
       vs.foreach(v => w.append(v, width))
-      val reader = new BitReader(w.words, w.lengthInBits)
+      val reader = w.reader
       val badSigned = vs.indices.filterNot { i =>
         val pos = at + i.toLong * width
-        val got = BitReader.getSigned(reader.words, pos, width)
+        val got = BitReader.getSigned(reader.bytes, reader.base, pos, width)
         got == reader.getSigned(pos, width) && got == (vs(i) << (64 - width)) >> (64 - width)
       }
       Prop(badGet.isEmpty && badSigned.isEmpty) :|
